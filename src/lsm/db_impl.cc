@@ -18,6 +18,7 @@
 #include "lsm/options_schema.h"
 #include "lsm/perf_context.h"
 #include "monitor/prometheus.h"
+#include "table/table.h"
 #include "table/table_builder.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -1782,12 +1783,12 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   }
   if (!done) {
     SpanScope sst_span(env_, SpanKind::kSstProbe);
-    const auto cache_before = block_cache_->GetStats();
+    const BlockCacheLookups cache_before = ThreadBlockCacheLookups();
     Version::GetStats vstats;
     s = version->Get(options, lkey, value, &vstats);
     files_probed = vstats.files_probed;
     if (s.ok()) perf->get_sst_hit++;
-    const auto cache_after = block_cache_->GetStats();
+    const BlockCacheLookups cache_after = ThreadBlockCacheLookups();
     sst_span.Annotate(SpanTag::kFilesProbed,
                       static_cast<uint64_t>(files_probed));
     if (vstats.hit_level >= 0) {

@@ -360,7 +360,11 @@ class StressDriver {
   }
 
   void VerifyRecovery(uint64_t max_op) {
-    // elmo_dump must be able to dissect every recovered artifact.
+    // elmo_dump must be able to dissect every recovered artifact. On a
+    // real env the reopened DB may already be writing a compaction
+    // output, which has no footer yet and is not a recovered artifact,
+    // so let background work settle first. SimEnv runs it inline.
+    if (sim_env_ == nullptr) db_->WaitForBackgroundWork();
     std::string text;
     Status ds = bench::DumpDbDir(fault_.get(), cfg_.db_path, &text);
     if (!ds.ok()) {

@@ -30,7 +30,11 @@ class OwningIter : public Iterator {
   std::unique_ptr<Iterator> iter_;
 };
 
+thread_local BlockCacheLookups t_block_cache_lookups;
+
 }  // namespace
+
+BlockCacheLookups ThreadBlockCacheLookups() { return t_block_cache_lookups; }
 
 struct Table::Rep {
   TableReadOptions options;
@@ -48,6 +52,17 @@ struct Table::Rep {
     EncodeFixed64(buf, cache_id);
     EncodeFixed64(buf + 8, offset);
     return Slice(buf, 16);
+  }
+
+  template <typename T>
+  std::shared_ptr<T> LookupBlock(const Slice& key) const {
+    auto cached = options.block_cache->LookupAs<T>(key);
+    if (cached != nullptr) {
+      t_block_cache_lookups.hits++;
+    } else {
+      t_block_cache_lookups.misses++;
+    }
+    return cached;
   }
 
   void Trace(TraceBlockType type, bool hit, bool fill, int level,
@@ -139,7 +154,7 @@ std::shared_ptr<const Block> Table::GetIndexBlock(Status* status) const {
 
   char key_buf[16];
   Slice key = r->CacheKey(key_buf, r->index_handle.offset());
-  auto cached = r->options.block_cache->LookupAs<const Block>(key);
+  auto cached = r->LookupBlock<const Block>(key);
   if (cached != nullptr) {
     r->Trace(TraceBlockType::kIndex, true, true, -1, r->index_handle.offset(),
              cached->size());
@@ -165,7 +180,7 @@ std::shared_ptr<const std::string> Table::GetFilter(Status* status) const {
 
   char key_buf[16];
   Slice key = r->CacheKey(key_buf, r->filter_handle.offset());
-  auto cached = r->options.block_cache->LookupAs<const std::string>(key);
+  auto cached = r->LookupBlock<const std::string>(key);
   if (cached != nullptr) {
     r->Trace(TraceBlockType::kFilter, true, true, -1,
              r->filter_handle.offset(), cached->size());
@@ -196,8 +211,7 @@ std::unique_ptr<Iterator> Table::BlockReader(const Slice& index_value,
   if (r->options.block_cache != nullptr) {
     char cache_key_buf[16];
     Slice cache_key = r->CacheKey(cache_key_buf, handle.offset());
-    auto cached =
-        r->options.block_cache->LookupAs<const Block>(cache_key);
+    auto cached = r->LookupBlock<const Block>(cache_key);
     if (cached != nullptr) {
       r->Trace(TraceBlockType::kData, true, fill_cache, level,
                handle.offset(), cached->size());

@@ -49,6 +49,15 @@ struct TableIterOptions {
   int level = -1;
 };
 
+// Block-cache lookups made by the calling thread's table reads, counted
+// without a lock. Read it before and after an operation and subtract to
+// get that operation's hits and misses, whatever other threads do.
+struct BlockCacheLookups {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+BlockCacheLookups ThreadBlockCacheLookups();
+
 class Table {
  public:
   // Opens a table; keeps ownership of `file`.

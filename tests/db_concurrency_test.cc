@@ -1,5 +1,6 @@
 // Concurrent access: parallel writers, readers racing background
-// flush/compaction, snapshot stability under churn.
+// flush/compaction, snapshot stability under churn, per-Get block-cache
+// attribution under concurrent readers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +8,8 @@
 
 #include "env/mem_env.h"
 #include "lsm/db.h"
+#include "lsm/span.h"
+#include "lsm/stats.h"
 #include "util/random.h"
 
 namespace elmo::lsm {
@@ -148,6 +151,74 @@ TEST_F(DbConcurrencyTest, MixedBatchAndSingleWriters) {
   EXPECT_TRUE(db_->Get({}, "b1-100", &v).IsNotFound());
   ASSERT_TRUE(db_->Get({}, "c1-100", &v).ok());
   EXPECT_EQ("2", v);
+}
+
+// Each Get's SST-probe span annotates the block-cache hits and misses of
+// its own lookups only, so across concurrent readers the annotations add
+// up to the cache's own lookup count.
+TEST_F(DbConcurrencyTest, ConcurrentGetCacheAnnotationsSumToCacheLookups) {
+  constexpr int kKeys = 20000;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(
+        db_->Put({}, "k" + std::to_string(i), std::string(100, 'v')).ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+
+  auto cache_lookups = [&] {
+    std::string unused;  // rendering folds the cache's counts into tickers
+    EXPECT_TRUE(db_->GetProperty("elmo.stats", &unused));
+    return db_->stats().Get(Ticker::kBlockCacheHit) +
+           db_->stats().Get(Ticker::kBlockCacheMiss);
+  };
+
+  SpanTraceOptions every_op;
+  every_op.slow_op_threshold_us = 0;
+  every_op.sample_every = 0;
+  ASSERT_TRUE(db_->StartSpanTrace("/span.trace", every_op).ok());
+  const uint64_t lookups_before = cache_lookups();
+
+  constexpr int kThreads = 4;
+  constexpr int kGetsPerThread = 2000;
+  std::atomic<int> errors{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; t++) {
+    readers.emplace_back([&, t] {
+      Random64 rng(100 + t);
+      std::string value;
+      for (int i = 0; i < kGetsPerThread; i++) {
+        // One key in five was never written.
+        const uint64_t k = rng.Uniform(kKeys + kKeys / 4);
+        Status s = db_->Get({}, "k" + std::to_string(k), &value);
+        if (k < kKeys ? !s.ok() : !s.IsNotFound()) errors.fetch_add(1);
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  const uint64_t lookups = cache_lookups() - lookups_before;
+  ASSERT_TRUE(db_->EndSpanTrace().ok());
+  EXPECT_EQ(0, errors.load());
+
+  SpanTraceReader reader(env_.get());
+  ASSERT_TRUE(reader.Open("/span.trace").ok());
+  uint64_t gets = 0, annotated = 0;
+  SpanTree tree;
+  bool eof = false;
+  while (true) {
+    ASSERT_TRUE(reader.Next(&tree, &eof).ok());
+    if (eof) break;
+    if (tree.root().kind == SpanKind::kGet) gets++;
+    for (const SpanNode& span : tree.spans) {
+      for (const auto& [tag, value] : span.annotations) {
+        if (tag == SpanTag::kCacheHit || tag == SpanTag::kCacheMiss) {
+          annotated += value;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(static_cast<uint64_t>(kThreads * kGetsPerThread), gets);
+  EXPECT_GT(lookups, 0u);
+  EXPECT_EQ(lookups, annotated);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,10 +47,29 @@ class RecordingListener : public EventListener {
   std::vector<StallInfo> write_stops;
 };
 
+// MemEnv whose flush jobs start only after a fixed delay. A 16 KiB
+// memtable then always fills before the previous one is flushed, so a
+// memtable-limit stop happens however fast the flush itself runs.
+class SlowFlushEnv : public MemEnv {
+ public:
+  void Schedule(std::function<void()> job, JobPriority pri) override {
+    if (pri == JobPriority::kHigh) {
+      job = [this, inner = std::move(job)] {
+        SleepForMicroseconds(kFlushDelayMicros);
+        inner();
+      };
+    }
+    MemEnv::Schedule(std::move(job), pri);
+  }
+
+ private:
+  static constexpr uint64_t kFlushDelayMicros = 2000;
+};
+
 class EventListenerTest : public ::testing::Test {
  protected:
   void Open() {
-    env_ = std::make_unique<MemEnv>();
+    if (env_ == nullptr) env_ = std::make_unique<MemEnv>();
     options_.env = env_.get();
     options_.create_if_missing = true;
     listener_ = std::make_shared<RecordingListener>();
@@ -146,12 +166,14 @@ TEST_F(EventListenerTest, UniversalCompactionReportsUniversalReason) {
 TEST_F(EventListenerTest, StallTransitionsFireUnderMemtablePressure) {
   options_.write_buffer_size = 16 << 10;
   options_.max_write_buffer_number = 2;
+  env_ = std::make_unique<SlowFlushEnv>();
   Open();
   Fill(5000, 200);
   ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
 
-  // Tiny buffers force memtable-limit stops; each stop must surface as
-  // a kNormal -> kStopped transition plus an OnWriteStop with the wait.
+  // Tiny buffers and delayed flushes force memtable-limit stops; each
+  // stop must surface as a kNormal -> kStopped transition plus an
+  // OnWriteStop with the wait.
   ASSERT_FALSE(listener_->write_stops.empty());
   for (const StallInfo& info : listener_->write_stops) {
     EXPECT_EQ(StallCondition::kStopped, info.current);
