@@ -242,9 +242,9 @@ static int WriteSmokeReport(const std::string& path) {
   return result.timeseries.empty() ? 1 : 0;
 }
 
-// Materialize a small real on-disk DB (SSTs, MANIFEST, LOG, plus IO
-// and block-cache traces) at `dir` for elmo_dump to inspect. CI drives
-// the inspection CLI over exactly this output.
+// Materialize a small real on-disk DB (SSTs, MANIFEST, LOG, plus one
+// trace of every kind) at `dir` for elmo_dump to inspect. CI drives the
+// inspection CLI over exactly this output.
 static int WriteDumpableDb(const std::string& dir) {
   elmo::lsm::Options opts;
   opts.env = elmo::Env::Posix();
@@ -270,9 +270,12 @@ static int WriteDumpableDb(const std::string& dir) {
   elmo::lsm::SpanTraceOptions span_opts;
   span_opts.slow_op_threshold_us = 0;
   span_opts.sample_every = 1;
-  if (!db->StartIOTrace(dir + "/io.trace").ok() ||
-      !db->StartBlockCacheTrace(dir + "/cache.trace").ok() ||
-      !db->StartSpanTrace(dir + "/span.trace", span_opts).ok()) {
+  using elmo::lsm::TraceKind;
+  if (!db->StartTrace(TraceKind::kOp, dir + "/op.trace").ok() ||
+      !db->StartTrace(TraceKind::kIO, dir + "/io.trace").ok() ||
+      !db->StartTrace(TraceKind::kBlockCache, dir + "/cache.trace").ok() ||
+      !db->StartTrace(TraceKind::kSpan, dir + "/span.trace", span_opts)
+           .ok()) {
     fprintf(stderr, "micro_engine: trace start failed\n");
     return 1;
   }
@@ -306,8 +309,10 @@ static int WriteDumpableDb(const std::string& dir) {
     if (i % 500 == 499) opts.env->SleepForMicroseconds(12000);
   }
 
-  if (!db->EndIOTrace().ok() || !db->EndBlockCacheTrace().ok() ||
-      !db->EndSpanTrace().ok()) {
+  if (!db->EndTrace(TraceKind::kOp).ok() ||
+      !db->EndTrace(TraceKind::kIO).ok() ||
+      !db->EndTrace(TraceKind::kBlockCache).ok() ||
+      !db->EndTrace(TraceKind::kSpan).ok()) {
     fprintf(stderr, "micro_engine: trace end failed\n");
     return 1;
   }

@@ -95,9 +95,10 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
   // evidence). Trace files live outside the DB dir, on the same SimEnv.
   const std::string io_trace_path = "/bench/io.trace";
   const std::string cache_trace_path = "/bench/cache.trace";
-  const bool io_tracing = db->StartIOTrace(io_trace_path).ok();
+  const bool io_tracing =
+      db->StartTrace(lsm::TraceKind::kIO, io_trace_path).ok();
   const bool cache_tracing =
-      db->StartBlockCacheTrace(cache_trace_path).ok();
+      db->StartTrace(lsm::TraceKind::kBlockCache, cache_trace_path).ok();
 
   // Span-trace every run: slow ops above 5ms plus 1-in-32 sampling of
   // normal ops gives the analyzer both the tail and a baseline.
@@ -106,7 +107,7 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
   span_opts.slow_op_threshold_us = 5000;
   span_opts.sample_every = 32;
   const bool span_tracing =
-      db->StartSpanTrace(span_trace_path, span_opts).ok();
+      db->StartTrace(lsm::TraceKind::kSpan, span_trace_path, span_opts).ok();
 
   // Fold the runner's seed into the workload streams: distinct harness
   // seeds must measure distinct (still reproducible) runs even at
@@ -259,7 +260,7 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
   // Close out the traces and distill them offline: per-kind/context IO
   // breakdown plus the miss-ratio-vs-capacity curve simulated around the
   // *scaled* capacity the engine actually ran with.
-  if (io_tracing && db->EndIOTrace().ok()) {
+  if (io_tracing && db->EndTrace(lsm::TraceKind::kIO).ok()) {
     IOAnalysis analysis;
     if (AnalyzeIOTrace(env.get(), io_trace_path, /*heatmap_buckets=*/20,
                        &analysis)
@@ -268,7 +269,7 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
       result.io_analysis_json = json::Value(analysis.ToJson()).Dump();
     }
   }
-  if (cache_tracing && db->EndBlockCacheTrace().ok()) {
+  if (cache_tracing && db->EndTrace(lsm::TraceKind::kBlockCache).ok()) {
     CacheSimResult sim;
     if (SimulateCacheTrace(env.get(), cache_trace_path,
                            DefaultCapacityLadder(opts.block_cache_size),
@@ -279,7 +280,7 @@ BenchResult BenchRunner::RunInternal(const WorkloadSpec& spec,
       result.cache_sim_json = json::Value(sim.ToJson()).Dump();
     }
   }
-  if (span_tracing && db->EndSpanTrace().ok()) {
+  if (span_tracing && db->EndTrace(lsm::TraceKind::kSpan).ok()) {
     SpanAttribution attr;
     if (AnalyzeSpanTrace(env.get(), span_trace_path, &attr).ok() &&
         attr.trees > 0) {

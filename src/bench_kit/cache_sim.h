@@ -1,9 +1,10 @@
 // Offline block-cache simulator. Replays a trace produced by
-// DB::StartBlockCacheTrace (table/block_cache_tracer.h) against "ghost"
-// LRU caches — same sharding, hashing, and eviction policy as the real
-// table/cache.cc, but holding no block payloads — at a ladder of
-// capacities, producing the miss-ratio-vs-capacity curve the tuning
-// prompt uses to argue for or against a bigger block_cache_size.
+// DB::StartTrace(TraceKind::kBlockCache) (table/block_cache_tracer.h)
+// against "ghost" LRU caches — same sharding, hashing, and eviction
+// policy as the real table/cache.cc, but holding no block payloads — at
+// a ladder of capacities, producing the miss-ratio-vs-capacity curve
+// the tuning prompt uses to argue for or against a bigger
+// block_cache_size.
 #pragma once
 
 #include <cstdint>

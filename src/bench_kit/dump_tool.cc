@@ -10,10 +10,12 @@
 #include "bench_kit/io_analyzer.h"
 #include "bench_kit/span_analyzer.h"
 #include "env/io_trace.h"
-#include "lsm/span.h"
+#include "env/record_log.h"
 #include "lsm/dbformat.h"
 #include "lsm/filename.h"
 #include "lsm/log_reader.h"
+#include "lsm/span.h"
+#include "lsm/trace.h"
 #include "lsm/version_edit.h"
 #include "table/block.h"
 #include "table/block_cache_tracer.h"
@@ -259,6 +261,64 @@ Status DumpInfoLog(Env* env, const std::string& path, bool verbose,
   return Status::OK();
 }
 
+namespace {
+
+const char* TraceOpName(lsm::TraceOp op) {
+  switch (op) {
+    case lsm::TraceOp::kPut:
+      return "put";
+    case lsm::TraceOp::kDelete:
+      return "delete";
+    case lsm::TraceOp::kGet:
+      return "get";
+  }
+  return "unknown";
+}
+
+Status DumpOpTrace(Env* env, const std::string& path, bool verbose,
+                   std::string* text) {
+  lsm::TraceReader reader(env);
+  Status s = reader.Open(path);
+  if (!s.ok()) return s;
+  lsm::TraceRecord rec;
+  bool eof = false;
+  uint64_t puts = 0, deletes = 0, gets = 0;
+  uint64_t key_bytes = 0, last_ts = reader.base_ts_us();
+  while (true) {
+    s = reader.Next(&rec, &eof);
+    if (!s.ok()) return s;
+    if (eof) break;
+    switch (rec.op) {
+      case lsm::TraceOp::kPut:
+        puts++;
+        break;
+      case lsm::TraceOp::kDelete:
+        deletes++;
+        break;
+      case lsm::TraceOp::kGet:
+        gets++;
+        break;
+    }
+    key_bytes += rec.key.size();
+    last_ts = std::max(last_ts, rec.ts_us);
+    if (verbose) {
+      Appendf(text, "%llu %s thread=%u key=%s value_size=%u\n",
+              (unsigned long long)rec.ts_us, TraceOpName(rec.op),
+              rec.thread_id, EscapeKey(rec.key).c_str(), rec.value_size);
+    }
+  }
+  Appendf(text,
+          "op trace %s: %llu ops (%llu puts, %llu deletes, %llu gets), "
+          "%llu key bytes\n",
+          path.c_str(), (unsigned long long)(puts + deletes + gets),
+          (unsigned long long)puts, (unsigned long long)deletes,
+          (unsigned long long)gets, (unsigned long long)key_bytes);
+  Appendf(text, "  base_ts=%llu us, span %llu us\n",
+          (unsigned long long)reader.base_ts_us(),
+          (unsigned long long)(last_ts - reader.base_ts_us()));
+  return Status::OK();
+}
+
 Status DumpIOTrace(Env* env, const std::string& path, bool verbose,
                    std::string* text) {
   if (verbose) {
@@ -364,6 +424,27 @@ Status DumpSpanTrace(Env* env, const std::string& path, bool verbose,
   if (!s.ok()) return s;
   *text += attr.ToText();
   return Status::OK();
+}
+
+}  // namespace
+
+Status DumpTrace(Env* env, const std::string& path, bool verbose,
+                 std::string* text) {
+  std::string magic;
+  Status s = ReadRecordLogMagic(env, path, &magic);
+  if (!s.ok()) return s;
+  if (magic == lsm::kOpTraceMagic) {
+    return DumpOpTrace(env, path, verbose, text);
+  }
+  if (magic == kIOTraceMagic) return DumpIOTrace(env, path, verbose, text);
+  if (magic == kBlockCacheTraceMagic) {
+    return DumpBlockCacheTrace(env, path, verbose, text);
+  }
+  if (magic == lsm::kSpanTraceMagic) {
+    return DumpSpanTrace(env, path, verbose, text);
+  }
+  return Status::Corruption(path, "not an elmo trace: unknown magic " +
+                                      EscapeKey(magic));
 }
 
 Status DumpDbDir(Env* env, const std::string& dbname, std::string* text) {

@@ -1,7 +1,8 @@
 // Offline inspection of every on-disk artifact the engine produces:
 // SST files (block layout, bloom stats, key range, entry counts),
 // MANIFEST (VersionEdit history), the structured JSONL info LOG, and
-// both trace formats (env/io_trace.h, table/block_cache_tracer.h).
+// every trace kind (lsm/trace.h, env/io_trace.h,
+// table/block_cache_tracer.h, lsm/span.h).
 // Everything reads through an Env*, so the same code inspects a real
 // directory (PosixEnv) and a simulated one (SimEnv/MemEnv) in tests.
 // The tools/elmo_dump CLI is a thin argv wrapper over these.
@@ -52,20 +53,14 @@ Status DumpManifest(Env* env, const std::string& path, std::string* text);
 Status DumpInfoLog(Env* env, const std::string& path, bool verbose,
                    std::string* text);
 
-// Decode an IO trace / block-cache trace record-by-record. With
-// `verbose` each record is listed; the aggregate analyzer summary is
-// always appended. Corrupted traces surface as Status::Corruption.
-Status DumpIOTrace(Env* env, const std::string& path, bool verbose,
-                   std::string* text);
-Status DumpBlockCacheTrace(Env* env, const std::string& path, bool verbose,
-                           std::string* text);
-
-// Decode a span trace (lsm/span.h, DB::StartSpanTrace) tree-by-tree.
-// With `verbose` every span of every tree is listed (indented by
-// depth, with annotations); the latency-attribution summary from
-// bench_kit/span_analyzer.h is always appended.
-Status DumpSpanTrace(Env* env, const std::string& path, bool verbose,
-                     std::string* text);
+// Decode any engine trace record by record, picking the decoder from
+// the file's magic: op, IO, block-cache or span trace. With `verbose`
+// each record (for span traces, each span of each tree, indented by
+// depth) is listed; a per-kind summary is always appended (the IO
+// analyzer's and the span analyzer's for those kinds). A corrupted
+// trace or an unknown magic surfaces as Status::Corruption.
+Status DumpTrace(Env* env, const std::string& path, bool verbose,
+                 std::string* text);
 
 // Walk a DB directory and dump every recognized file (CURRENT,
 // MANIFEST, LOG, SSTs with scan on). Unknown files are listed by name.

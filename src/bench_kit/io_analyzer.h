@@ -1,7 +1,7 @@
 // Offline IO-trace analyzer. Replays a trace produced by
-// DB::StartIOTrace (env/io_trace.h) and aggregates per-file-kind and
-// per-context byte/op/latency breakdowns plus a time-bucketed heatmap of
-// bytes moved per kind — the "where do the device bytes go" evidence the
+// DB::StartTrace(TraceKind::kIO) (env/io_trace.h) and aggregates
+// per-file-kind and per-context byte/op/latency breakdowns plus a
+// time-bucketed heatmap of bytes moved per kind — the "where do the device bytes go" evidence the
 // tuning prompt consumes.
 #pragma once
 

@@ -1,12 +1,12 @@
 // Offline span-trace analyzer: latency attribution + Perfetto export.
 //
-// Replays a slow-op span trace produced by DB::StartSpanTrace
-// (lsm/span.h) and answers "where did the tail latency go": for each
-// root op kind it computes duration percentiles over the captured trees
-// and decomposes the tail (trees at or above the p99 cut) into
-// per-child-phase self-time shares plus the root's own self time. The
-// shares are fractions of total tail root duration, so they sum to
-// ~100% by construction.
+// Replays a slow-op span trace produced by
+// DB::StartTrace(TraceKind::kSpan) (lsm/span.h) and answers "where did
+// the tail latency go": for each root op kind it computes duration
+// percentiles over the captured trees and decomposes the tail (trees at
+// or above the p99 cut) into per-child-phase self-time shares plus the
+// root's own self time. The shares are fractions of total tail root
+// duration, so they sum to ~100% by construction.
 //
 // ExportChromeTrace renders the same trace as Chrome trace-event JSON
 // (chrome://tracing or https://ui.perfetto.dev): foreground ops on

@@ -4,28 +4,25 @@
 // classified kind (WAL / SST data / SST index+filter / MANIFEST / LOG),
 // offset, length, per-op latency on the engine clock, and the IOContext
 // the calling thread had declared (user get, flush, compaction, WAL
-// append, ...). Enabled via DB::StartIOTrace/EndIOTrace; identical on
+// append, ...). Enabled via DB::StartTrace(TraceKind::kIO); identical on
 // SimEnv (deterministic, virtual clock) and PosixEnv.
 //
-// File layout (mirrors lsm/trace.h):
-//   header:  "ELMOIOT1" | fixed32 version (=1) | fixed64 base_ts_us
-//   record:  fixed32 masked_crc(payload) | fixed32 payload_len | payload
-//   payload: op (1) | kind (1) | ctx (1) | fixed64 ts_us | fixed64 offset
-//            | fixed64 len | fixed64 latency_us
-//            | varint32 fname_len | fname bytes
-// A torn or bit-flipped record fails its CRC and surfaces as
-// Status::Corruption from IOTraceReader::Next.
+// Records go to a record log (env/record_log.h) with magic "ELMOIOT1".
+// Payload: op (1) | kind (1) | ctx (1) | fixed64 ts_us | fixed64 offset
+//          | fixed64 len | fixed64 latency_us
+//          | varint32 fname_len | fname bytes
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "env/env.h"
+#include "env/record_log.h"
 #include "util/status.h"
 
 namespace elmo {
+
+inline constexpr char kIOTraceMagic[] = "ELMOIOT1";
 
 // What the operation was.
 enum class IOOp : uint8_t {
@@ -118,52 +115,31 @@ struct IOTraceRecord {
 };
 
 // Thread-safe writer. The trace file is written through the Env passed
-// here — DBImpl passes the *raw* (unwrapped) env so the tracer's own
-// writes never recurse into the trace.
+// here — IOTracingEnv passes its *base* (unwrapped) env so the tracer's
+// own writes never recurse into the trace.
 class IOTracer {
  public:
-  explicit IOTracer(Env* env);
-  ~IOTracer();
+  explicit IOTracer(Env* env) : env_(env) {}
 
-  IOTracer(const IOTracer&) = delete;
-  IOTracer& operator=(const IOTracer&) = delete;
-
-  Status Open(const std::string& path, uint64_t base_ts_us);
+  // Busy if a trace is already open.
+  Status Open(const std::string& path, uint64_t base_ts_us) {
+    return log_.Open(env_, path, kIOTraceMagic, base_ts_us);
+  }
   Status AddRecord(const IOTraceRecord& rec);
-  // Flush+sync+close. Idempotent; safe after a failed Open.
-  Status Close();
+  // Flush+sync+close. InvalidArgument if no trace is open.
+  Status Close() { return log_.Close(); }
 
-  uint64_t records() const;
+  bool active() const { return log_.active(); }
+  uint64_t records() const { return log_.records(); }
 
  private:
   Env* const env_;
-  mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> file_;
-  uint64_t records_ = 0;
+  RecordLogWriter log_;
 };
 
-class IOTraceReader {
- public:
-  explicit IOTraceReader(Env* env);
+Status DecodeIOTraceRecord(const Slice& payload, IOTraceRecord* rec);
 
-  IOTraceReader(const IOTraceReader&) = delete;
-  IOTraceReader& operator=(const IOTraceReader&) = delete;
-
-  // Open and validate the header.
-  Status Open(const std::string& path);
-
-  // Read the next record. Sets *eof=true (with OK status) at a clean end
-  // of file; returns Corruption on a bad CRC or truncated record.
-  Status Next(IOTraceRecord* rec, bool* eof);
-
-  uint64_t base_ts_us() const { return base_ts_us_; }
-
- private:
-  Status ReadFully(size_t n, std::string* out, bool* clean_eof);
-
-  Env* const env_;
-  std::unique_ptr<SequentialFile> file_;
-  uint64_t base_ts_us_ = 0;
-};
+using IOTraceReader =
+    TypedRecordLogReader<IOTraceRecord, kIOTraceMagic, DecodeIOTraceRecord>;
 
 }  // namespace elmo

@@ -1,15 +1,13 @@
 // IOTracingEnv: a decorator Env that forwards everything to a base Env
-// and, while a trace is active, emits one IOTraceRecord per file
+// and, while its tracer is open, emits one IOTraceRecord per file
 // read/append/sync/range-sync with engine-clock latency and the calling
 // thread's IOContext. Files are wrapped at open time, so a WAL opened
-// before DB::StartIOTrace still shows up once tracing starts. The trace
-// file itself is written through the *base* env, so tracer output never
-// recurses into the trace.
+// before DB::StartTrace(TraceKind::kIO) still shows up once tracing
+// starts. The trace file itself is written through the *base* env, so
+// tracer output never recurses into the trace.
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "env/env.h"
@@ -20,16 +18,12 @@ namespace elmo {
 class IOTracingEnv : public Env {
  public:
   explicit IOTracingEnv(Env* base);
-  ~IOTracingEnv() override;
 
   Env* base() const { return base_; }
 
-  // Begin tracing into `path`. Fails with Busy if a trace is active.
-  Status StartTrace(const std::string& path);
-  // Stop tracing and close the file; *records (optional) receives the
-  // number of records written. InvalidArgument if no trace is active.
-  Status EndTrace(uint64_t* records);
-  bool tracing() const { return enabled_.load(std::memory_order_acquire); }
+  // Open it to start tracing, close it to stop; writes go to base().
+  IOTracer* tracer() { return &tracer_; }
+  bool tracing() const { return tracer_.active(); }
 
   // Internal: called by the file wrappers. Latency is (end_us - start_us)
   // measured on the base env's clock before the record is serialized, so
@@ -66,9 +60,7 @@ class IOTracingEnv : public Env {
 
  private:
   Env* const base_;
-  std::atomic<bool> enabled_{false};
-  std::mutex trace_mu_;
-  std::shared_ptr<IOTracer> tracer_;
+  IOTracer tracer_;
 };
 
 }  // namespace elmo

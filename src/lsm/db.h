@@ -26,6 +26,24 @@
 
 namespace elmo::lsm {
 
+// The engine's traces. Each kind can be active independently.
+enum class TraceKind {
+  // Every user Put/Delete/Get (lsm/trace.h); the input of
+  // bench_kit/trace_replay.h.
+  kOp,
+  // Every file read/write/sync the engine issues (env/io_trace.h); the
+  // input of bench_kit/io_analyzer.h.
+  kIO,
+  // Every block-cache lookup (table/block_cache_tracer.h); the input of
+  // the miss-ratio-curve simulator in bench_kit/cache_sim.h.
+  kBlockCache,
+  // The slow-op log (lsm/span.h): completed span trees whose root
+  // exceeds span_options.slow_op_threshold_us, plus every
+  // span_options.sample_every-th op of each kind; the input of
+  // bench_kit/span_analyzer.h.
+  kSpan,
+};
+
 // A read-consistent point in time; obtained from GetSnapshot.
 class Snapshot {
  public:
@@ -148,41 +166,17 @@ class DB {
   // errors always fail (reopen required). No-op on a healthy DB.
   virtual Status Resume() = 0;
 
-  // Start recording every user operation (puts, deletes, gets) to a
-  // trace file at `path` (see lsm/trace.h for the format and
-  // bench_kit/trace_replay.h for the replayer). Returns Busy if a trace
-  // is already active.
-  virtual Status StartTrace(const std::string& path) = 0;
-  // Stop recording and finalize the trace file. Returns InvalidArgument
-  // if no trace is active.
-  virtual Status EndTrace() = 0;
-
-  // Start recording every file read/write/sync the engine issues to a
-  // binary IO trace at `path` (see env/io_trace.h for the record format
-  // and bench_kit/io_analyzer.h for the offline analyzer). Returns Busy
-  // if an IO trace is already active.
-  virtual Status StartIOTrace(const std::string& path) = 0;
-  virtual Status EndIOTrace() = 0;
-
-  // Start recording every block-cache lookup (data/index/filter blocks)
-  // to a trace at `path` (see table/block_cache_tracer.h for the format
-  // and bench_kit/cache_sim.h for the miss-ratio-curve simulator).
-  // Returns Busy if a block-cache trace is already active.
-  virtual Status StartBlockCacheTrace(const std::string& path) = 0;
-  virtual Status EndBlockCacheTrace() = 0;
-
-  // Start the slow-op log: completed operation span trees whose root
-  // exceeds options.slow_op_threshold_us — plus every
-  // options.sample_every-th op of each kind — are serialized to a
-  // CRC-framed span trace at `path` (see lsm/span.h for the format and
-  // bench_kit/span_analyzer.h for the latency-attribution analyzer and
-  // the Chrome trace-event exporter). Returns Busy if a span trace is
-  // already active.
-  virtual Status StartSpanTrace(const std::string& path,
-                                const SpanTraceOptions& options = {}) = 0;
-  // Stop and finalize the span trace. Returns InvalidArgument if no
-  // span trace is active.
-  virtual Status EndSpanTrace() = 0;
+  // Start recording a trace of `kind` to `path` (see TraceKind for what
+  // each kind records and where its payload format lives). Every kind
+  // is a record log (env/record_log.h) written through the Env the
+  // caller supplied, so no trace shows up in the IO trace.
+  // `span_options` applies to TraceKind::kSpan only. Returns Busy if a
+  // trace of that kind is already active.
+  virtual Status StartTrace(TraceKind kind, const std::string& path,
+                            const SpanTraceOptions& span_options = {}) = 0;
+  // Stop recording and finalize the trace of `kind`. Returns
+  // InvalidArgument if no trace of that kind is active.
+  virtual Status EndTrace(TraceKind kind) = 0;
 
   virtual const DbStats& stats() const = 0;
   virtual const Options& options() const = 0;

@@ -127,6 +127,11 @@ SimEnv* FindSimEnv(Env* env) {
   return nullptr;
 }
 
+uint32_t CurrentThreadId32() {
+  return static_cast<uint32_t>(
+      std::hash<std::thread::id>{}(std::this_thread::get_id()));
+}
+
 }  // namespace
 
 DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
@@ -144,10 +149,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
           options_.bgerror_resume_retry_interval_ms * 1000,
           options_.bgerror_resume_max_backoff_ms * 1000}),
       slowdown_limiter_(options_.delayed_write_rate) {
-  // Span-trace output bypasses the IO-tracing wrapper, like the other
-  // observability sinks, so observing the engine never perturbs the
-  // evidence it produces.
-  span_tracer_ = std::make_unique<SpanTracer>(raw_env_);
   span_baseline_ = GlobalSpanAggregate()->GetSnapshot();
   // Everything that takes an Env from the options (TableCache,
   // VersionSet, OPTIONS persistence, ...) must go through the tracing
@@ -215,17 +216,10 @@ DBImpl::~DBImpl() {
     sampler_cv_.notify_all();
     sampler_thread_.join();
   }
-  if (tracing_.load(std::memory_order_acquire)) {
-    EndTrace();  // flush + sync the trace file
-  }
-  if (io_env_->tracing()) {
-    EndIOTrace();
-  }
-  if (block_cache_tracer_->active()) {
-    EndBlockCacheTrace();
-  }
-  if (span_tracer_->active()) {
-    EndSpanTrace();
+  // Flush + sync every active trace; the others return InvalidArgument.
+  for (TraceKind kind : {TraceKind::kOp, TraceKind::kIO,
+                         TraceKind::kBlockCache, TraceKind::kSpan}) {
+    EndTrace(kind);
   }
   {
     // Fold the final cache + logger-loss counters into the tickers so
@@ -580,7 +574,7 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
   IOContextScope io_ctx(IOContextTag::kUserWrite);
   const uint64_t t_start = env_->NowMicros();
   PerfContext* perf = GetPerfContext();
-  SpanScope span(env_, SpanKind::kWrite, span_tracer_.get());
+  SpanScope span(env_, SpanKind::kWrite, &span_tracer_);
 
   std::unique_lock<std::mutex> l(mu_);
   Status s = MakeRoomForWrite(l);
@@ -662,7 +656,7 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
   perf->write_count += count;
   perf->write_micros += elapsed;
 
-  if (s.ok() && tracing_.load(std::memory_order_acquire)) {
+  if (s.ok() && op_trace_.active()) {
     TraceWriteBatch(*updates, t_start);
   }
   MaybeSampleLocked();
@@ -1274,7 +1268,7 @@ Status DBImpl::FlushWork(FlushJobInfo* info, BackgroundErrorSource* esrc) {
 
   // Background-job root: under SimEnv this nests inside the foreground
   // write that scheduled it; the collector extracts it as its own tree.
-  SpanScope span(env_, SpanKind::kFlush, span_tracer_.get());
+  SpanScope span(env_, SpanKind::kFlush, &span_tracer_);
 
   // Capture the memtables to flush (all currently queued).
   std::vector<std::shared_ptr<MemTable>> mems;
@@ -1454,7 +1448,7 @@ Status DBImpl::CompactionWork(std::unique_ptr<Compaction> c, int* l0_consumed,
   // *esrc names the failing stage (compaction proper vs manifest apply).
   if (esrc != nullptr) *esrc = BackgroundErrorSource::kCompaction;
   IOContextScope io_ctx(IOContextTag::kCompaction);
-  SpanScope span(env_, SpanKind::kCompaction, span_tracer_.get());
+  SpanScope span(env_, SpanKind::kCompaction, &span_tracer_);
   span.Annotate(SpanTag::kLevel, static_cast<uint64_t>(c->level()));
   span.Annotate(SpanTag::kInputBytes, c->TotalInputBytes());
   *l0_consumed = 0;
@@ -1733,7 +1727,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   IOContextScope io_ctx(IOContextTag::kUserGet);
   const uint64_t t_start = env_->NowMicros();
   PerfContext* perf = GetPerfContext();
-  SpanScope span(env_, SpanKind::kGet, span_tracer_.get());
+  SpanScope span(env_, SpanKind::kGet, &span_tracer_);
   std::shared_ptr<MemTable> mem;
   std::vector<std::shared_ptr<MemTable>> imms;
   std::shared_ptr<Version> version;
@@ -1823,8 +1817,8 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
 
   // Misses are traced too: a replayed read of a since-deleted key should
   // miss again.
-  if (tracing_.load(std::memory_order_acquire)) {
-    TraceGet(key, t_start);
+  if (op_trace_.active()) {
+    op_trace_.AddRecord(TraceOp::kGet, t_start, CurrentThreadId32(), key, 0);
   }
   if (sampler_ != nullptr && sampler_->Due(env_->NowMicros())) {
     std::lock_guard<std::mutex> sample_lock(mu_);
@@ -1871,7 +1865,7 @@ std::unique_ptr<Iterator> DBImpl::NewIterator(const ReadOptions& options) {
           : latest;
   stats_.Add(Ticker::kSeekCount, 1);
   return NewDBIterator(internal_comparator_.user_comparator(),
-                       std::move(internal), seq, env_, span_tracer_.get());
+                       std::move(internal), seq, env_, &span_tracer_);
 }
 
 const Snapshot* DBImpl::GetSnapshot() {
@@ -2159,11 +2153,6 @@ void DBImpl::SamplerThreadLoop() {
 
 namespace {
 
-uint32_t CurrentThreadId32() {
-  return static_cast<uint32_t>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()));
-}
-
 // Forwards every batch entry to the trace writer, all stamped with the
 // batch's arrival time: replay sees the batch as one arrival, matching
 // how the write path treated it.
@@ -2186,127 +2175,88 @@ class TraceBatchHandler : public WriteBatch::Handler {
   const uint32_t thread_id_;
 };
 
+// LOG event name prefix of each trace kind: "<prefix>_start/_end".
+const char* TraceEventPrefix(TraceKind kind) {
+  switch (kind) {
+    case TraceKind::kOp:
+      return "trace";
+    case TraceKind::kIO:
+      return "io_trace";
+    case TraceKind::kBlockCache:
+      return "block_cache_trace";
+    case TraceKind::kSpan:
+      return "span_trace";
+  }
+  return "trace";
+}
+
 }  // namespace
 
-Status DBImpl::StartTrace(const std::string& path) {
-  std::lock_guard<std::mutex> l(trace_mu_);
-  if (trace_ != nullptr) return Status::Busy("a trace is already active");
-  auto writer = std::make_shared<TraceWriter>(env_);
-  Status s = writer->Open(path, env_->NowMicros());
-  if (!s.ok()) return s;
-  trace_ = std::move(writer);
-  tracing_.store(true, std::memory_order_release);
-  if (info_event_log_ != nullptr) {
-    json::Object fields;
-    fields["path"] = path;
-    info_event_log_->LogEvent("trace_start", std::move(fields));
+Status DBImpl::StartTrace(TraceKind kind, const std::string& path,
+                          const SpanTraceOptions& span_options) {
+  const uint64_t now = raw_env_->NowMicros();
+  Status s;
+  switch (kind) {
+    case TraceKind::kOp:
+      s = op_trace_.Open(path, now);
+      break;
+    case TraceKind::kIO:
+      s = io_env_->tracer()->Open(path, now);
+      break;
+    case TraceKind::kBlockCache:
+      s = block_cache_tracer_->Open(path, now);
+      break;
+    case TraceKind::kSpan:
+      s = span_tracer_.Open(path, span_options, now);
+      break;
   }
-  return Status::OK();
-}
-
-Status DBImpl::EndTrace() {
-  std::shared_ptr<TraceWriter> writer;
-  {
-    std::lock_guard<std::mutex> l(trace_mu_);
-    if (trace_ == nullptr) return Status::InvalidArgument("no trace active");
-    tracing_.store(false, std::memory_order_release);
-    writer = std::move(trace_);
-  }
-  Status s = writer->Close();
-  if (info_event_log_ != nullptr) {
-    json::Object fields;
-    fields["records"] = static_cast<int64_t>(writer->records());
-    info_event_log_->LogEvent("trace_end", std::move(fields));
-  }
-  return s;
-}
-
-Status DBImpl::StartIOTrace(const std::string& path) {
-  Status s = io_env_->StartTrace(path);
   if (s.ok() && info_event_log_ != nullptr) {
     json::Object fields;
     fields["path"] = path;
-    info_event_log_->LogEvent("io_trace_start", std::move(fields));
+    if (kind == TraceKind::kSpan) {
+      fields["slow_op_threshold_us"] =
+          static_cast<int64_t>(span_options.slow_op_threshold_us);
+      fields["sample_every"] = static_cast<int64_t>(span_options.sample_every);
+    }
+    info_event_log_->LogEvent(std::string(TraceEventPrefix(kind)) + "_start",
+                              std::move(fields));
   }
   return s;
 }
 
-Status DBImpl::EndIOTrace() {
+Status DBImpl::EndTrace(TraceKind kind) {
+  Status s;
   uint64_t records = 0;
-  Status s = io_env_->EndTrace(&records);
+  auto end = [&s, &records](auto& tracer) {
+    s = tracer.Close();
+    records = tracer.records();
+  };
+  switch (kind) {
+    case TraceKind::kOp:
+      end(op_trace_);
+      break;
+    case TraceKind::kIO:
+      end(*io_env_->tracer());
+      break;
+    case TraceKind::kBlockCache:
+      end(*block_cache_tracer_);
+      break;
+    case TraceKind::kSpan:
+      end(span_tracer_);
+      break;
+  }
   if (s.ok() && info_event_log_ != nullptr) {
     json::Object fields;
     fields["records"] = static_cast<int64_t>(records);
-    info_event_log_->LogEvent("io_trace_end", std::move(fields));
-  }
-  return s;
-}
-
-Status DBImpl::StartBlockCacheTrace(const std::string& path) {
-  Status s = block_cache_tracer_->Start(path);
-  if (s.ok() && info_event_log_ != nullptr) {
-    json::Object fields;
-    fields["path"] = path;
-    info_event_log_->LogEvent("block_cache_trace_start", std::move(fields));
-  }
-  return s;
-}
-
-Status DBImpl::EndBlockCacheTrace() {
-  uint64_t records = 0;
-  Status s = block_cache_tracer_->Stop(&records);
-  if (s.ok() && info_event_log_ != nullptr) {
-    json::Object fields;
-    fields["records"] = static_cast<int64_t>(records);
-    info_event_log_->LogEvent("block_cache_trace_end", std::move(fields));
-  }
-  return s;
-}
-
-Status DBImpl::StartSpanTrace(const std::string& path,
-                              const SpanTraceOptions& options) {
-  Status s = span_tracer_->Start(path, options, env_->NowMicros());
-  if (s.ok() && info_event_log_ != nullptr) {
-    json::Object fields;
-    fields["path"] = path;
-    fields["slow_op_threshold_us"] =
-        static_cast<int64_t>(options.slow_op_threshold_us);
-    fields["sample_every"] = static_cast<int64_t>(options.sample_every);
-    info_event_log_->LogEvent("span_trace_start", std::move(fields));
-  }
-  return s;
-}
-
-Status DBImpl::EndSpanTrace() {
-  uint64_t trees = 0;
-  Status s = span_tracer_->Stop(&trees);
-  if (s.ok() && info_event_log_ != nullptr) {
-    json::Object fields;
-    fields["records"] = static_cast<int64_t>(trees);
-    info_event_log_->LogEvent("span_trace_end", std::move(fields));
+    info_event_log_->LogEvent(std::string(TraceEventPrefix(kind)) + "_end",
+                              std::move(fields));
   }
   return s;
 }
 
 void DBImpl::TraceWriteBatch(const WriteBatch& updates, uint64_t ts_us) {
-  std::shared_ptr<TraceWriter> writer;
-  {
-    std::lock_guard<std::mutex> l(trace_mu_);
-    writer = trace_;
-  }
-  if (writer == nullptr) return;
-  TraceBatchHandler handler(writer.get(), ts_us, CurrentThreadId32());
+  TraceBatchHandler handler(&op_trace_, ts_us, CurrentThreadId32());
   updates.Iterate(&handler);
-}
-
-void DBImpl::TraceGet(const Slice& key, uint64_t ts_us) {
-  std::shared_ptr<TraceWriter> writer;
-  {
-    std::lock_guard<std::mutex> l(trace_mu_);
-    writer = trace_;
-  }
-  if (writer == nullptr) return;
-  writer->AddRecord(TraceOp::kGet, ts_us, CurrentThreadId32(), key, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -65,15 +65,9 @@ class DBImpl : public DB {
   Status FlushMemTable() override;
   Status WaitForBackgroundWork() override;
   Status Resume() override;
-  Status StartTrace(const std::string& path) override;
-  Status EndTrace() override;
-  Status StartIOTrace(const std::string& path) override;
-  Status EndIOTrace() override;
-  Status StartBlockCacheTrace(const std::string& path) override;
-  Status EndBlockCacheTrace() override;
-  Status StartSpanTrace(const std::string& path,
-                        const SpanTraceOptions& options) override;
-  Status EndSpanTrace() override;
+  Status StartTrace(TraceKind kind, const std::string& path,
+                    const SpanTraceOptions& span_options) override;
+  Status EndTrace(TraceKind kind) override;
   Status SetOptions(
       const std::map<std::string, std::string>& changes) override;
   const DbStats& stats() const override { return stats_; }
@@ -221,14 +215,13 @@ class DBImpl : public DB {
       const std::map<std::string, std::string>& changes,
       const std::string& source);
   void TraceWriteBatch(const WriteBatch& updates, uint64_t ts_us);
-  void TraceGet(const Slice& key, uint64_t ts_us);
 
   // --- constant state ---
   Options options_;  // sanitized copy
   const std::string dbname_;
   Env* raw_env_;  // env the user supplied; trace output is written here
   // All engine IO is routed through this decorator (options_.env is
-  // repointed at it in the constructor) so DB::StartIOTrace can observe
+  // repointed at it in the constructor) so the IO trace can observe
   // every file operation. Declared before table_cache_/versions_ so it
   // outlives everything that holds an Env*.
   std::unique_ptr<IOTracingEnv> io_env_;
@@ -325,17 +318,13 @@ class DBImpl : public DB {
   // is visible without the thread taking mu_ just to read it.
   std::atomic<uint64_t> sampler_interval_ms_{0};
 
-  // Trace capture. `tracing_` is the hot-path gate; `trace_` is swapped
-  // under trace_mu_ (a leaf mutex, safe to take with mu_ held).
-  std::atomic<bool> tracing_{false};
-  std::mutex trace_mu_;
-  std::shared_ptr<TraceWriter> trace_;
+  // Op trace; its active() is the hot-path gate. Like every trace it
+  // writes through raw_env_, so its own IO never shows up in the IO
+  // trace.
+  TraceWriter op_trace_{raw_env_};
 
-  // Slow-op span trace. Always constructed (iterators hold a stable
-  // SpanSink* into it); writes go to raw_env_ so the trace's own IO
-  // never shows up in the IO trace. Initialized in the constructor
-  // after raw_env_ is known.
-  std::unique_ptr<SpanTracer> span_tracer_;
+  // Slow-op span trace. Iterators hold a stable SpanSink* into it.
+  SpanTracer span_tracer_{raw_env_};
   // Global-aggregate totals at DB open; sampler gauges report the
   // difference so span columns are per-run even when several DBs share
   // the process.

@@ -4,15 +4,11 @@
 #include <cstring>
 
 #include "util/coding.h"
-#include "util/crc32c.h"
 
 namespace elmo::lsm {
 
 namespace {
 
-constexpr char kSpanMagic[8] = {'E', 'L', 'M', 'O', 'S', 'P', 'N', '1'};
-constexpr uint32_t kSpanVersion = 1;
-constexpr size_t kHeaderSize = sizeof(kSpanMagic) + 4 + 8;
 // fixed64 root start + fixed32 thread + flags byte; spans are variable.
 constexpr size_t kPayloadFixed = 8 + 4 + 1;
 
@@ -247,53 +243,21 @@ SpanCollector* GetSpanCollector() {
 // ---------------------------------------------------------------------
 // Tracer
 
-SpanTracer::SpanTracer(Env* env) : env_(env) {}
-
-SpanTracer::~SpanTracer() { Stop(nullptr); }
-
-Status SpanTracer::Start(const std::string& path,
-                         const SpanTraceOptions& options,
-                         uint64_t base_ts_us) {
+Status SpanTracer::Open(const std::string& path,
+                        const SpanTraceOptions& options,
+                        uint64_t base_ts_us) {
+  // Held across the open so no tree is filtered with stale counters.
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ != nullptr) return Status::Busy("a span trace is already active");
-  Status s = env_->NewWritableFile(path, &file_);
+  Status s = log_.Open(env_, path, kSpanTraceMagic, base_ts_us);
   if (!s.ok()) return s;
-  std::string header(kSpanMagic, sizeof(kSpanMagic));
-  PutFixed32(&header, kSpanVersion);
-  PutFixed64(&header, base_ts_us);
-  s = file_->Append(Slice(header));
-  if (!s.ok()) {
-    file_.reset();
-    return s;
-  }
   options_ = options;
   std::memset(seen_, 0, sizeof(seen_));
-  trees_written_ = 0;
-  slow_trees_ = 0;
-  sampled_trees_ = 0;
-  active_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
-Status SpanTracer::Stop(uint64_t* trees_written) {
-  std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) {
-    return Status::InvalidArgument("no span trace active");
-  }
-  active_.store(false, std::memory_order_release);
-  Status s = file_->Flush();
-  if (s.ok()) s = file_->Sync();
-  Status c = file_->Close();
-  if (s.ok()) s = c;
-  file_.reset();
-  if (trees_written != nullptr) *trees_written = trees_written_;
-  return s;
-}
-
 void SpanTracer::Consume(const SpanTree& tree) {
-  if (!active_.load(std::memory_order_acquire)) return;
+  if (!log_.active()) return;
   std::lock_guard<std::mutex> l(mu_);
-  if (file_ == nullptr) return;
 
   const uint8_t kind = static_cast<uint8_t>(tree.root().kind);
   seen_[kind]++;
@@ -325,108 +289,15 @@ void SpanTracer::Consume(const SpanTree& tree) {
       PutVarint64(&payload, value);
     }
   }
-
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  PutFixed32(&frame,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame += payload;
-  if (file_->Append(Slice(frame)).ok()) {
-    trees_written_++;
-    if (flags & kSpanTreeSlow) slow_trees_++;
-    if (flags & kSpanTreeSampled) sampled_trees_++;
-  }
-}
-
-uint64_t SpanTracer::trees_written() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return trees_written_;
-}
-
-uint64_t SpanTracer::slow_trees() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return slow_trees_;
-}
-
-uint64_t SpanTracer::sampled_trees() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return sampled_trees_;
+  log_.Append(payload);  // a failed append (or a racing Close) drops it
 }
 
 // ---------------------------------------------------------------------
 // Reader
 
-SpanTraceReader::SpanTraceReader(Env* env) : env_(env) {}
-
-Status SpanTraceReader::Open(const std::string& path) {
-  Status s = env_->NewSequentialFile(path, &file_);
-  if (!s.ok()) return s;
-  std::string header;
-  bool eof = false;
-  s = ReadFully(kHeaderSize, &header, &eof);
-  if (!s.ok()) return s;
-  if (eof || memcmp(header.data(), kSpanMagic, sizeof(kSpanMagic)) != 0) {
-    return Status::Corruption("not an elmo span trace file");
-  }
-  const uint32_t version =
-      DecodeFixed32(header.data() + sizeof(kSpanMagic));
-  if (version != kSpanVersion) {
-    return Status::Corruption("unsupported span trace version");
-  }
-  base_ts_us_ = DecodeFixed64(header.data() + sizeof(kSpanMagic) + 4);
-  return Status::OK();
-}
-
-Status SpanTraceReader::ReadFully(size_t n, std::string* out,
-                                  bool* clean_eof) {
-  out->clear();
-  *clean_eof = false;
-  std::string scratch(n, '\0');
-  size_t got = 0;
-  while (got < n) {
-    Slice chunk;
-    Status s = file_->Read(n - got, &chunk, &scratch[0] + got);
-    if (!s.ok()) return s;
-    if (chunk.empty()) {
-      if (got == 0) {
-        *clean_eof = true;
-        return Status::OK();
-      }
-      return Status::Corruption("truncated span trace record");
-    }
-    if (chunk.data() != scratch.data() + got) {
-      memcpy(&scratch[0] + got, chunk.data(), chunk.size());
-    }
-    got += chunk.size();
-  }
-  *out = std::move(scratch);
-  return Status::OK();
-}
-
-Status SpanTraceReader::Next(SpanTree* tree, bool* eof) {
-  *eof = false;
-  if (file_ == nullptr) {
-    return Status::IOError("span trace reader not open");
-  }
-
-  std::string frame_header;
-  Status s = ReadFully(8, &frame_header, eof);
-  if (!s.ok() || *eof) return s;
-  const uint32_t expected_crc =
-      crc32c::Unmask(DecodeFixed32(frame_header.data()));
-  const uint32_t len = DecodeFixed32(frame_header.data() + 4);
-  if (len < kPayloadFixed + 2 || len > (1u << 26)) {
+Status DecodeSpanTree(const Slice& payload, SpanTree* tree) {
+  if (payload.size() < kPayloadFixed + 2) {
     return Status::Corruption("bad span trace record length");
-  }
-
-  std::string payload;
-  bool payload_eof = false;
-  s = ReadFully(len, &payload, &payload_eof);
-  if (!s.ok()) return s;
-  if (payload_eof) return Status::Corruption("truncated span trace record");
-  if (crc32c::Value(payload.data(), payload.size()) != expected_crc) {
-    return Status::Corruption("span trace record checksum mismatch");
   }
 
   tree->spans.clear();

@@ -7,21 +7,19 @@
 //
 // Collection is always on and feeds a process-wide SpanAggregate (the
 // "elmo.perf" property and the StatsSampler span columns). When a span
-// trace is active (DB::StartSpanTrace), completed root trees that are
-// slow (root duration >= slow_op_threshold_us) or deterministically
-// sampled (every sample_every-th op of a kind) are additionally
-// serialized to a CRC-framed binary file — the slow-op log that
-// bench_kit/span_analyzer decomposes into p50/p99/p999 component shares
-// and exports as Chrome trace-event / Perfetto JSON.
+// trace is active (DB::StartTrace(TraceKind::kSpan)), completed root
+// trees that are slow (root duration >= slow_op_threshold_us) or
+// deterministically sampled (every sample_every-th op of a kind) are
+// additionally serialized to a record log (env/record_log.h) with magic
+// "ELMOSPN1" — the slow-op log that bench_kit/span_analyzer decomposes
+// into p50/p99/p999 component shares and exports as Chrome trace-event /
+// Perfetto JSON.
 //
-// File layout (same framing convention as lsm/trace.h):
-//   header:  "ELMOSPN1" | fixed32 version (=1) | fixed64 base_ts_us
-//   record:  fixed32 masked_crc(payload) | fixed32 payload_len | payload
-//   payload: fixed64 root_start_us | fixed32 thread_id | flags (1 byte)
-//            | varint32 span_count | span_count * span
-//   span:    kind (1 byte) | varint32 parent_plus_1
-//            | varint64 start_delta_us | varint64 duration_us
-//            | varint32 n_annotations | n * (tag byte | varint64 value)
+// Payload: fixed64 root_start_us | fixed32 thread_id | flags (1 byte)
+//          | varint32 span_count | span_count * span
+// span:    kind (1 byte) | varint32 parent_plus_1
+//          | varint64 start_delta_us | varint64 duration_us
+//          | varint32 n_annotations | n * (tag byte | varint64 value)
 //
 // Threading: the span stack is thread-local (one op per thread at a
 // time). Under SimEnv, background jobs run inline inside the foreground
@@ -40,9 +38,12 @@
 #include <vector>
 
 #include "env/env.h"
+#include "env/record_log.h"
 #include "util/status.h"
 
 namespace elmo::lsm {
+
+inline constexpr char kSpanTraceMagic[] = "ELMOSPN1";
 
 enum class SpanKind : uint8_t {
   // Root kinds (one per op / background job).
@@ -246,63 +247,37 @@ struct SpanTraceOptions {
   uint64_t sample_every = 256;
 };
 
-// Serializes selected trees to the CRC-framed span trace. One per DB;
-// Start/Stop toggle it, Consume is called from the collector on every
-// root close and filters by the options above.
+// Serializes selected trees to the span trace. One per DB; Open/Close
+// toggle it, Consume is called from the collector on every root close
+// and filters by the options above.
 class SpanTracer : public SpanSink {
  public:
-  explicit SpanTracer(Env* env);
-  ~SpanTracer() override;
+  explicit SpanTracer(Env* env) : env_(env) {}
 
-  SpanTracer(const SpanTracer&) = delete;
-  SpanTracer& operator=(const SpanTracer&) = delete;
+  // Busy if a trace is already open.
+  Status Open(const std::string& path, const SpanTraceOptions& options,
+              uint64_t base_ts_us);
+  // Flush+sync+close. InvalidArgument if no trace is open.
+  Status Close() { return log_.Close(); }
 
-  Status Start(const std::string& path, const SpanTraceOptions& options,
-               uint64_t base_ts_us);
-  // Flush+sync+close. `trees_written` (optional) receives the record
-  // count. InvalidArgument when no trace is active.
-  Status Stop(uint64_t* trees_written);
-
-  bool active() const { return active_.load(std::memory_order_acquire); }
+  bool active() const { return log_.active(); }
   void Consume(const SpanTree& tree) override;
 
-  uint64_t trees_written() const;
-  uint64_t slow_trees() const;
-  uint64_t sampled_trees() const;
+  // Trees written to the current (or last) trace.
+  uint64_t records() const { return log_.records(); }
 
  private:
   Env* const env_;
-  std::atomic<bool> active_{false};
-  mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> file_;
+  RecordLogWriter log_;
+  std::mutex mu_;  // guards the fields below
   SpanTraceOptions options_;
   uint64_t seen_[kMaxSpanKind] = {};  // per-root-kind ops observed
-  uint64_t trees_written_ = 0;
-  uint64_t slow_trees_ = 0;
-  uint64_t sampled_trees_ = 0;
 };
+
+Status DecodeSpanTree(const Slice& payload, SpanTree* tree);
 
 // Reads a span trace back tree by tree.
-class SpanTraceReader {
- public:
-  explicit SpanTraceReader(Env* env);
-
-  SpanTraceReader(const SpanTraceReader&) = delete;
-  SpanTraceReader& operator=(const SpanTraceReader&) = delete;
-
-  Status Open(const std::string& path);
-  // Sets *eof=true (with OK status) at a clean end of file; returns
-  // Corruption on a bad CRC, truncated record, or malformed payload.
-  Status Next(SpanTree* tree, bool* eof);
-
-  uint64_t base_ts_us() const { return base_ts_us_; }
-
- private:
-  Status ReadFully(size_t n, std::string* out, bool* clean_eof);
-
-  Env* const env_;
-  std::unique_ptr<SequentialFile> file_;
-  uint64_t base_ts_us_ = 0;
-};
+using SpanTraceReader =
+    TypedRecordLogReader<SpanTree, kSpanTraceMagic, DecodeSpanTree>;
 
 }  // namespace elmo::lsm

@@ -1,29 +1,26 @@
-// Workload trace capture and reading. StartTrace() on a DB hooks the
-// write and read paths and appends one record per user operation — op
-// kind, key, value size (not the value: traces stay small and replay
-// regenerates values deterministically), engine-clock timestamp, and the
-// issuing thread — to a CRC-framed binary file written through the Env.
-// bench_kit::ReplayTrace re-executes a trace against a fresh DB, either
-// as fast as possible or with the recorded inter-op gaps preserved.
+// Workload trace capture and reading. DB::StartTrace(TraceKind::kOp)
+// hooks the write and read paths and appends one record per user
+// operation — op kind, key, value size (not the value: traces stay
+// small and replay regenerates values deterministically), engine-clock
+// timestamp, and the issuing thread — to a record log (env/record_log.h)
+// with magic "ELMOTRC1". bench_kit::ReplayTrace re-executes a trace
+// against a fresh DB, either as fast as possible or with the recorded
+// inter-op gaps preserved.
 //
-// File layout:
-//   header:  "ELMOTRC1" | fixed32 version (=1) | fixed64 base_ts_us
-//   record:  fixed32 masked_crc(payload) | fixed32 payload_len | payload
-//   payload: op (1 byte) | fixed64 ts_us | fixed32 thread_id
-//            | varint32 key_len | key bytes | varint32 value_size
-// A torn or bit-flipped record fails its CRC and surfaces as
-// Status::Corruption from TraceReader::Next.
+// Payload: op (1 byte) | fixed64 ts_us | fixed32 thread_id
+//          | varint32 key_len | key bytes | varint32 value_size
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "env/env.h"
+#include "env/record_log.h"
 #include "util/status.h"
 
 namespace elmo::lsm {
+
+inline constexpr char kOpTraceMagic[] = "ELMOTRC1";
 
 enum class TraceOp : uint8_t {
   kPut = 1,
@@ -41,53 +38,32 @@ struct TraceRecord {
 
 class TraceWriter {
  public:
-  explicit TraceWriter(Env* env);
-  ~TraceWriter();
-
-  TraceWriter(const TraceWriter&) = delete;
-  TraceWriter& operator=(const TraceWriter&) = delete;
+  explicit TraceWriter(Env* env) : env_(env) {}
 
   // Create/truncate the trace file and write the header. `base_ts_us`
   // anchors replay timing (normally the engine clock at StartTrace).
-  Status Open(const std::string& path, uint64_t base_ts_us);
+  // Busy if a trace is already open.
+  Status Open(const std::string& path, uint64_t base_ts_us) {
+    return log_.Open(env_, path, kOpTraceMagic, base_ts_us);
+  }
 
   Status AddRecord(TraceOp op, uint64_t ts_us, uint32_t thread_id,
                    const Slice& key, uint32_t value_size);
 
-  // Flush+sync+close. Idempotent; safe after a failed Open.
-  Status Close();
+  // Flush+sync+close. InvalidArgument if no trace is open.
+  Status Close() { return log_.Close(); }
 
-  uint64_t records() const;
+  bool active() const { return log_.active(); }
+  uint64_t records() const { return log_.records(); }
 
  private:
   Env* const env_;
-  mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> file_;
-  uint64_t records_ = 0;
+  RecordLogWriter log_;
 };
 
-class TraceReader {
- public:
-  explicit TraceReader(Env* env);
+Status DecodeTraceRecord(const Slice& payload, TraceRecord* rec);
 
-  TraceReader(const TraceReader&) = delete;
-  TraceReader& operator=(const TraceReader&) = delete;
-
-  // Open and validate the header.
-  Status Open(const std::string& path);
-
-  // Read the next record. Sets *eof=true (with OK status) at a clean end
-  // of file; returns Corruption on a bad CRC or truncated record.
-  Status Next(TraceRecord* rec, bool* eof);
-
-  uint64_t base_ts_us() const { return base_ts_us_; }
-
- private:
-  Status ReadFully(size_t n, std::string* out, bool* clean_eof);
-
-  Env* const env_;
-  std::unique_ptr<SequentialFile> file_;
-  uint64_t base_ts_us_ = 0;
-};
+using TraceReader =
+    TypedRecordLogReader<TraceRecord, kOpTraceMagic, DecodeTraceRecord>;
 
 }  // namespace elmo::lsm

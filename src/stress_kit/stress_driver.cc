@@ -239,7 +239,7 @@ class StressDriver {
     if (s.ok() && !cfg_.span_trace_path.empty()) {
       // Best-effort per-cycle span trace; the file holds the last
       // cycle's capture. A crash may drop its unsynced tail.
-      db_->StartSpanTrace(cfg_.span_trace_path);
+      db_->StartTrace(lsm::TraceKind::kSpan, cfg_.span_trace_path);
     }
     return s;
   }

@@ -6,29 +6,27 @@
 // offline cache simulator (bench_kit/cache_sim.h), which replays it
 // against ghost LRUs at other capacities to produce a miss-ratio curve.
 //
-// File layout (CRC framing identical to env/io_trace.h):
-//   header:  "ELMOBCT1" | fixed32 version (=1) | fixed64 base_ts_us
-//   record:  fixed32 masked_crc(payload) | fixed32 payload_len | payload
-//   payload: fixed64 ts_us | type (1) | hit (1) | fill (1) | level (1,
-//            int8, -1 = unknown) | fixed64 file_number | fixed64 offset
-//            | fixed64 charge
+// Records go to a record log (env/record_log.h) with magic "ELMOBCT1".
+// Payload: fixed64 ts_us | type (1) | hit (1) | fill (1) | level (1,
+//          int8, -1 = unknown) | fixed64 file_number | fixed64 offset
+//          | fixed64 charge
 //
 // One BlockCacheTracer lives for the DB's lifetime (created by DBImpl,
 // handed to every Table via TableReadOptions); Record() is a no-op
-// unless a trace was activated with Start(). The trace file is written
-// through the raw Env so trace output never shows up in the IO trace.
+// unless a trace was opened. The trace file is written through the raw
+// Env so trace output never shows up in the IO trace.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "env/env.h"
+#include "env/record_log.h"
 #include "util/status.h"
 
 namespace elmo {
+
+inline constexpr char kBlockCacheTraceMagic[] = "ELMOBCT1";
 
 enum class TraceBlockType : uint8_t {
   kData = 1,
@@ -51,52 +49,32 @@ struct BlockCacheAccessRecord {
 
 class BlockCacheTracer {
  public:
-  explicit BlockCacheTracer(Env* env);
-  ~BlockCacheTracer();
+  explicit BlockCacheTracer(Env* env) : env_(env) {}
 
-  BlockCacheTracer(const BlockCacheTracer&) = delete;
-  BlockCacheTracer& operator=(const BlockCacheTracer&) = delete;
-
-  // Begin recording into `path`. Busy if a trace is already active.
-  Status Start(const std::string& path);
-  // Stop and close; *records (optional) receives the record count.
-  // InvalidArgument if no trace is active.
-  Status Stop(uint64_t* records);
-  bool active() const { return enabled_.load(std::memory_order_acquire); }
+  // Begin recording into `path`. Busy if a trace is already open.
+  Status Open(const std::string& path, uint64_t base_ts_us) {
+    return log_.Open(env_, path, kBlockCacheTraceMagic, base_ts_us);
+  }
+  // Flush+sync+close. InvalidArgument if no trace is open.
+  Status Close() { return log_.Close(); }
+  bool active() const { return log_.active(); }
+  uint64_t records() const { return log_.records(); }
 
   // Record one lookup (timestamped on the env clock). No-op when no
-  // trace is active; append failures drop the record, not the lookup.
+  // trace is open; append failures drop the record, not the lookup.
   void Record(TraceBlockType type, bool hit, bool fill, int level,
               uint64_t file_number, uint64_t offset, uint64_t charge);
 
  private:
   Env* const env_;
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  std::unique_ptr<WritableFile> file_;
-  uint64_t records_ = 0;
+  RecordLogWriter log_;
 };
 
-class BlockCacheTraceReader {
- public:
-  explicit BlockCacheTraceReader(Env* env);
+Status DecodeBlockCacheAccessRecord(const Slice& payload,
+                                   BlockCacheAccessRecord* rec);
 
-  BlockCacheTraceReader(const BlockCacheTraceReader&) = delete;
-  BlockCacheTraceReader& operator=(const BlockCacheTraceReader&) = delete;
-
-  Status Open(const std::string& path);
-  // *eof=true with OK status at a clean end of file; Corruption on a bad
-  // CRC or truncated record.
-  Status Next(BlockCacheAccessRecord* rec, bool* eof);
-
-  uint64_t base_ts_us() const { return base_ts_us_; }
-
- private:
-  Status ReadFully(size_t n, std::string* out, bool* clean_eof);
-
-  Env* const env_;
-  std::unique_ptr<SequentialFile> file_;
-  uint64_t base_ts_us_ = 0;
-};
+using BlockCacheTraceReader =
+    TypedRecordLogReader<BlockCacheAccessRecord, kBlockCacheTraceMagic,
+                         DecodeBlockCacheAccessRecord>;
 
 }  // namespace elmo

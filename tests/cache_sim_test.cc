@@ -29,7 +29,7 @@ class CacheTraceTest : public ::testing::Test {
 };
 
 TEST_F(CacheTraceTest, WriteReadRoundTrip) {
-  ASSERT_TRUE(tracer_.Start("/cache.trace").ok());
+  ASSERT_TRUE(tracer_.Open("/cache.trace", 0).ok());
   EXPECT_TRUE(tracer_.active());
   tracer_.Record(TraceBlockType::kData, /*hit=*/false, /*fill=*/true,
                  /*level=*/1, /*file_number=*/7, /*offset=*/4096,
@@ -37,9 +37,8 @@ TEST_F(CacheTraceTest, WriteReadRoundTrip) {
   tracer_.Record(TraceBlockType::kIndex, /*hit=*/true, /*fill=*/true,
                  /*level=*/-1, /*file_number=*/7, /*offset=*/65536,
                  /*charge=*/900);
-  uint64_t records = 0;
-  ASSERT_TRUE(tracer_.Stop(&records).ok());
-  EXPECT_EQ(2u, records);
+  ASSERT_TRUE(tracer_.Close().ok());
+  EXPECT_EQ(2u, tracer_.records());
   EXPECT_FALSE(tracer_.active());
 
   BlockCacheTraceReader reader(&env_);
@@ -66,13 +65,13 @@ TEST_F(CacheTraceTest, WriteReadRoundTrip) {
 TEST_F(CacheTraceTest, RecordIsNoOpWithoutActiveTrace) {
   tracer_.Record(TraceBlockType::kData, false, true, 0, 1, 0, 100);
   // No trace was started; nothing to stop.
-  EXPECT_FALSE(tracer_.Stop(nullptr).ok());
+  EXPECT_TRUE(tracer_.Close().IsInvalidArgument());
 }
 
 TEST_F(CacheTraceTest, CorruptedTraceRejected) {
-  ASSERT_TRUE(tracer_.Start("/cache.trace").ok());
+  ASSERT_TRUE(tracer_.Open("/cache.trace", 0).ok());
   tracer_.Record(TraceBlockType::kData, false, true, 0, 1, 0, 100);
-  ASSERT_TRUE(tracer_.Stop(nullptr).ok());
+  ASSERT_TRUE(tracer_.Close().ok());
 
   std::string contents;
   ASSERT_TRUE(env_.ReadFileToString("/cache.trace", &contents).ok());
@@ -97,7 +96,7 @@ TEST_F(CacheTraceTest, CorruptedTraceRejected) {
 // ghost is all misses (LRU's pathological case); a large-enough ghost
 // hits on every revisit.
 TEST_F(CacheTraceTest, GhostLruKnownAnswer) {
-  ASSERT_TRUE(tracer_.Start("/cache.trace").ok());
+  ASSERT_TRUE(tracer_.Open("/cache.trace", 0).ok());
   for (int round = 0; round < 10; round++) {
     for (uint64_t block = 0; block < 3; block++) {
       tracer_.Record(TraceBlockType::kData, false, true, 0,
@@ -105,7 +104,7 @@ TEST_F(CacheTraceTest, GhostLruKnownAnswer) {
                      /*charge=*/100);
     }
   }
-  ASSERT_TRUE(tracer_.Stop(nullptr).ok());
+  ASSERT_TRUE(tracer_.Close().ok());
 
   // Single shard so capacities are exact.
   bench::CacheSimResult result;
@@ -154,7 +153,7 @@ TEST(CacheSimAccuracy, SimTracksLiveHitRatioAtConfiguredCapacity) {
   ASSERT_TRUE(lsm::DB::Open(opts, "/db", &db).ok());
   // Trace from before the first access so trace and live stats cover
   // the same window.
-  ASSERT_TRUE(db->StartBlockCacheTrace("/cache.trace").ok());
+  ASSERT_TRUE(db->StartTrace(lsm::TraceKind::kBlockCache, "/cache.trace").ok());
 
   const std::string value(512, 'v');
   for (int i = 0; i < 4000; i++) {
@@ -171,7 +170,7 @@ TEST(CacheSimAccuracy, SimTracksLiveHitRatioAtConfiguredCapacity) {
     db->Get({}, key, &out);
   }
 
-  ASSERT_TRUE(db->EndBlockCacheTrace().ok());
+  ASSERT_TRUE(db->EndTrace(lsm::TraceKind::kBlockCache).ok());
   std::string prop;
   ASSERT_TRUE(db->GetProperty("elmo.block-cache-hit-rate", &prop));
   const double live_hit_ratio = atof(prop.c_str());

@@ -175,7 +175,7 @@ TEST_F(DbConcurrencyTest, ConcurrentGetCacheAnnotationsSumToCacheLookups) {
   SpanTraceOptions every_op;
   every_op.slow_op_threshold_us = 0;
   every_op.sample_every = 0;
-  ASSERT_TRUE(db_->StartSpanTrace("/span.trace", every_op).ok());
+  ASSERT_TRUE(db_->StartTrace(TraceKind::kSpan, "/span.trace", every_op).ok());
   const uint64_t lookups_before = cache_lookups();
 
   constexpr int kThreads = 4;
@@ -196,7 +196,7 @@ TEST_F(DbConcurrencyTest, ConcurrentGetCacheAnnotationsSumToCacheLookups) {
   }
   for (auto& r : readers) r.join();
   const uint64_t lookups = cache_lookups() - lookups_before;
-  ASSERT_TRUE(db_->EndSpanTrace().ok());
+  ASSERT_TRUE(db_->EndTrace(TraceKind::kSpan).ok());
   EXPECT_EQ(0, errors.load());
 
   SpanTraceReader reader(env_.get());

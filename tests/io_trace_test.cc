@@ -149,11 +149,11 @@ DbTraceResult RunTracedWorkload(uint64_t seed) {
 
   std::unique_ptr<lsm::DB> db;
   EXPECT_TRUE(lsm::DB::Open(opts, "/db", &db).ok());
-  EXPECT_TRUE(db->StartIOTrace("/io.trace").ok());
-  EXPECT_TRUE(db->StartBlockCacheTrace("/cache.trace").ok());
+  EXPECT_TRUE(db->StartTrace(lsm::TraceKind::kIO, "/io.trace").ok());
+  EXPECT_TRUE(db->StartTrace(lsm::TraceKind::kBlockCache, "/cache.trace").ok());
 
   // Double-start is rejected while a trace is active.
-  EXPECT_FALSE(db->StartIOTrace("/io2.trace").ok());
+  EXPECT_FALSE(db->StartTrace(lsm::TraceKind::kIO, "/io2.trace").ok());
 
   const std::string value(512, 'v');
   for (int i = 0; i < 2000; i++) {
@@ -169,11 +169,11 @@ DbTraceResult RunTracedWorkload(uint64_t seed) {
     db->Get({}, key, &out);
   }
 
-  EXPECT_TRUE(db->EndIOTrace().ok());
-  EXPECT_TRUE(db->EndBlockCacheTrace().ok());
+  EXPECT_TRUE(db->EndTrace(lsm::TraceKind::kIO).ok());
+  EXPECT_TRUE(db->EndTrace(lsm::TraceKind::kBlockCache).ok());
   // Ending again without an active trace is an error.
-  EXPECT_FALSE(db->EndIOTrace().ok());
-  EXPECT_FALSE(db->EndBlockCacheTrace().ok());
+  EXPECT_FALSE(db->EndTrace(lsm::TraceKind::kIO).ok());
+  EXPECT_FALSE(db->EndTrace(lsm::TraceKind::kBlockCache).ok());
   db.reset();
 
   DbTraceResult r;
@@ -219,6 +219,42 @@ TEST(DbIOTrace, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(a.cache_trace, b.cache_trace);
   ASSERT_FALSE(a.io_trace.empty());
   ASSERT_FALSE(a.cache_trace.empty());
+}
+
+// Every trace is written through the Env the caller supplied, under the
+// IO-tracing wrapper, so one trace never records another's writes.
+TEST(DbIOTrace, OpTraceWritesStayOutOfTheIOTrace) {
+  SimEnv env(HardwareProfile::Make(2, 4, DeviceModel::NvmeSsd()), 7);
+  lsm::Options opts;
+  opts.env = &env;
+  opts.create_if_missing = true;
+  std::unique_ptr<lsm::DB> db;
+  ASSERT_TRUE(lsm::DB::Open(opts, "/db", &db).ok());
+  ASSERT_TRUE(db->StartTrace(lsm::TraceKind::kIO, "/io.trace").ok());
+  ASSERT_TRUE(db->StartTrace(lsm::TraceKind::kOp, "/op.trace").ok());
+  std::string out;
+  for (int i = 0; i < 100; i++) {
+    const std::string key = "key" + std::to_string(i);
+    ASSERT_TRUE(db->Put({}, key, "value").ok());
+    db->Get({}, key, &out);
+  }
+  ASSERT_TRUE(db->EndTrace(lsm::TraceKind::kOp).ok());
+  ASSERT_TRUE(db->EndTrace(lsm::TraceKind::kIO).ok());
+  db.reset();
+
+  IOTraceReader reader(&env);
+  ASSERT_TRUE(reader.Open("/io.trace").ok());
+  IOTraceRecord rec;
+  bool eof = false;
+  uint64_t records = 0, op_trace_records = 0;
+  while (true) {
+    ASSERT_TRUE(reader.Next(&rec, &eof).ok());
+    if (eof) break;
+    records++;
+    if (rec.fname == "/op.trace") op_trace_records++;
+  }
+  EXPECT_GE(records, 100u);  // the WAL appends
+  EXPECT_EQ(0u, op_trace_records);
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ void PlantTrace(MemEnv* env) {
   SpanTraceOptions opts;
   opts.slow_op_threshold_us = 0;  // capture everything as "slow"
   opts.sample_every = 0;
-  ASSERT_TRUE(tracer.Start("/planted", opts, /*base_ts_us=*/1000).ok());
+  ASSERT_TRUE(tracer.Open("/planted", opts, /*base_ts_us=*/1000).ok());
   SpanCollector* c = GetSpanCollector();
 
   uint64_t t = 0;
@@ -70,7 +70,7 @@ void PlantTrace(MemEnv* env) {
     c->Close(build, t + 4600);  // 4500us
     c->Close(root, t + 5000);   // self = 500us
   }
-  ASSERT_TRUE(tracer.Stop(nullptr).ok());
+  ASSERT_TRUE(tracer.Close().ok());
 }
 
 const SpanOpAttribution* FindOp(const SpanAttribution& attr,
@@ -210,8 +210,8 @@ TEST(SpanAnalyzerTest, JsonShapeCarriesSharesAndCounts) {
 TEST(SpanAnalyzerTest, EmptyTraceYieldsNoOps) {
   MemEnv env;
   SpanTracer tracer(&env);
-  ASSERT_TRUE(tracer.Start("/empty", {}, 0).ok());
-  ASSERT_TRUE(tracer.Stop(nullptr).ok());
+  ASSERT_TRUE(tracer.Open("/empty", {}, 0).ok());
+  ASSERT_TRUE(tracer.Close().ok());
 
   SpanAttribution attr;
   ASSERT_TRUE(AnalyzeSpanTrace(&env, "/empty", &attr).ok());

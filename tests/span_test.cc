@@ -117,7 +117,7 @@ TEST(SpanTracerTest, SlowThresholdAndDeterministicSampling) {
   SpanTraceOptions opts;
   opts.slow_op_threshold_us = 1000;
   opts.sample_every = 4;
-  ASSERT_TRUE(tracer.Start("/span", opts, /*base_ts_us=*/0).ok());
+  ASSERT_TRUE(tracer.Open("/span", opts, /*base_ts_us=*/0).ok());
 
   SpanCollector* c = GetSpanCollector();
   uint64_t now = 10000;
@@ -133,13 +133,10 @@ TEST(SpanTracerTest, SlowThresholdAndDeterministicSampling) {
     c->Close(h, now + 2000);
     now += 3000;
   }
-  EXPECT_EQ(tracer.trees_written(), 5u);
-  EXPECT_EQ(tracer.slow_trees(), 2u);
-  EXPECT_EQ(tracer.sampled_trees(), 3u);
-  uint64_t written = 0;
-  ASSERT_TRUE(tracer.Stop(&written).ok());
-  EXPECT_EQ(written, 5u);
-  EXPECT_TRUE(tracer.Stop(nullptr).IsInvalidArgument());
+  EXPECT_EQ(tracer.records(), 5u);
+  ASSERT_TRUE(tracer.Close().ok());
+  EXPECT_EQ(tracer.records(), 5u);
+  EXPECT_TRUE(tracer.Close().IsInvalidArgument());
 
   SpanTraceReader reader(&env);
   ASSERT_TRUE(reader.Open("/span").ok());
@@ -167,29 +164,29 @@ TEST(SpanTracerTest, ZeroThresholdCapturesEverything) {
   SpanTraceOptions opts;
   opts.slow_op_threshold_us = 0;
   opts.sample_every = 0;
-  ASSERT_TRUE(tracer.Start("/span", opts, 0).ok());
-  EXPECT_TRUE(tracer.Start("/other", opts, 0).IsBusy());
+  ASSERT_TRUE(tracer.Open("/span", opts, 0).ok());
+  EXPECT_TRUE(tracer.Open("/other", opts, 0).IsBusy());
 
   SpanCollector* c = GetSpanCollector();
   for (int i = 0; i < 7; i++) {
     const size_t h = c->OpenRoot(SpanKind::kGet, 100 * i, &tracer);
     c->Close(h, 100 * i + 1);
   }
-  EXPECT_EQ(tracer.trees_written(), 7u);
-  ASSERT_TRUE(tracer.Stop(nullptr).ok());
+  EXPECT_EQ(tracer.records(), 7u);
+  ASSERT_TRUE(tracer.Close().ok());
 }
 
 TEST(SpanTracerTest, CorruptionDetected) {
   MemEnv env;
   SpanTracer tracer(&env);
-  ASSERT_TRUE(tracer.Start("/span", {0, 0}, 0).ok());
+  ASSERT_TRUE(tracer.Open("/span", {0, 0}, 0).ok());
   SpanCollector* c = GetSpanCollector();
   const size_t h = c->OpenRoot(SpanKind::kWrite, 500, &tracer);
   const size_t child = c->OpenChild(SpanKind::kWalSync, 510);
   c->Annotate(child, SpanTag::kBytes, 4096);
   c->Close(child, 550);
   c->Close(h, 600);
-  ASSERT_TRUE(tracer.Stop(nullptr).ok());
+  ASSERT_TRUE(tracer.Close().ok());
 
   std::string contents;
   ASSERT_TRUE(env.ReadFileToString("/span", &contents).ok());
@@ -225,8 +222,8 @@ std::string RunTracedWorkload(uint64_t seed, uint64_t* trees_out) {
   SpanTraceOptions opts;
   opts.slow_op_threshold_us = 0;  // capture every op
   opts.sample_every = 0;
-  EXPECT_TRUE(db->StartSpanTrace("/span.trace", opts).ok());
-  EXPECT_TRUE(db->StartSpanTrace("/other.trace", opts).IsBusy());
+  EXPECT_TRUE(db->StartTrace(TraceKind::kSpan, "/span.trace", opts).ok());
+  EXPECT_TRUE(db->StartTrace(TraceKind::kSpan, "/other.trace", opts).IsBusy());
 
   const std::string value(512, 'v');
   std::string out;
@@ -240,8 +237,8 @@ std::string RunTracedWorkload(uint64_t seed, uint64_t* trees_out) {
   int scanned = 0;
   for (it->SeekToFirst(); it->Valid() && scanned < 50; it->Next()) scanned++;
   it.reset();
-  EXPECT_TRUE(db->EndSpanTrace().ok());
-  EXPECT_TRUE(db->EndSpanTrace().IsInvalidArgument());
+  EXPECT_TRUE(db->EndTrace(TraceKind::kSpan).ok());
+  EXPECT_TRUE(db->EndTrace(TraceKind::kSpan).IsInvalidArgument());
   if (trees_out != nullptr) {
     // Count trees by replaying the trace.
     SpanTraceReader reader(env.get());
@@ -276,7 +273,7 @@ TEST(SpanDbTest, TraceContainsExpectedTreeShapes) {
   o.write_buffer_size = 64 << 10;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(o, "/db", &db).ok());
-  ASSERT_TRUE(db->StartSpanTrace("/span.trace", {0, 0}).ok());
+  ASSERT_TRUE(db->StartTrace(TraceKind::kSpan, "/span.trace", {0, 0}).ok());
 
   const std::string value(512, 'v');
   std::string out;
@@ -291,7 +288,7 @@ TEST(SpanDbTest, TraceContainsExpectedTreeShapes) {
     snprintf(key, sizeof(key), "%08d", i);
     db->Get({}, key, &out);
   }
-  ASSERT_TRUE(db->EndSpanTrace().ok());
+  ASSERT_TRUE(db->EndTrace(TraceKind::kSpan).ok());
 
   SpanTraceReader reader(env.get());
   ASSERT_TRUE(reader.Open("/span.trace").ok());

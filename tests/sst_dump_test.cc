@@ -1,6 +1,7 @@
 // dump_tool: SST dissection must round-trip what the engine wrote (key
 // counts, ranges, bloom stats), MANIFEST/LOG dumps must decode real
-// files, and the whole-directory walk must cover every artifact.
+// files, the whole-directory walk must cover every artifact, and the
+// trace dump must decode every trace kind.
 #include "bench_kit/dump_tool.h"
 
 #include <gtest/gtest.h>
@@ -155,6 +156,61 @@ TEST_F(SstDumpTest, ManifestAndLogAndDirDump) {
   EXPECT_NE(std::string::npos, text.find("CURRENT ->"));
   EXPECT_NE(std::string::npos, text.find("entries:"));
   EXPECT_NE(std::string::npos, text.find("manifest"));
+}
+
+// `elmo_dump trace` picks the decoder from the file's magic: one DB run
+// with every trace kind active must dump each of them, and anything
+// else is rejected.
+TEST_F(SstDumpTest, TraceDumpDispatchesOnMagic) {
+  lsm::Options opts;
+  opts.env = &env_;
+  opts.create_if_missing = true;
+  opts.write_buffer_size = 64 << 10;
+  std::unique_ptr<lsm::DB> db;
+  ASSERT_TRUE(lsm::DB::Open(opts, "/db3", &db).ok());
+  using lsm::TraceKind;
+  lsm::SpanTraceOptions every_op;
+  every_op.slow_op_threshold_us = 0;
+  ASSERT_TRUE(db->StartTrace(TraceKind::kOp, "/op.trace").ok());
+  ASSERT_TRUE(db->StartTrace(TraceKind::kIO, "/io.trace").ok());
+  ASSERT_TRUE(db->StartTrace(TraceKind::kBlockCache, "/cache.trace").ok());
+  ASSERT_TRUE(db->StartTrace(TraceKind::kSpan, "/span.trace", every_op).ok());
+  const std::string value(256, 'v');
+  std::string out;
+  for (int i = 0; i < 400; i++) {
+    const std::string key = "key" + std::to_string(i);
+    ASSERT_TRUE(db->Put({}, key, value).ok());
+  }
+  ASSERT_TRUE(db->Delete({}, "key7").ok());
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  for (int i = 0; i < 50; i++) db->Get({}, "key" + std::to_string(i), &out);
+  for (TraceKind kind : {TraceKind::kOp, TraceKind::kIO,
+                         TraceKind::kBlockCache, TraceKind::kSpan}) {
+    ASSERT_TRUE(db->EndTrace(kind).ok());
+  }
+  db.reset();
+
+  std::string text;
+  ASSERT_TRUE(bench::DumpTrace(&env_, "/op.trace", true, &text).ok());
+  EXPECT_NE(std::string::npos,
+            text.find("451 ops (400 puts, 1 deletes, 50 gets)"))
+      << text;
+  EXPECT_NE(std::string::npos, text.find(" delete thread=")) << text;
+  text.clear();
+  ASSERT_TRUE(bench::DumpTrace(&env_, "/io.trace", false, &text).ok());
+  EXPECT_EQ(0u, text.find("io trace: ")) << text;
+  text.clear();
+  ASSERT_TRUE(bench::DumpTrace(&env_, "/cache.trace", true, &text).ok());
+  EXPECT_NE(std::string::npos, text.find("block cache trace /cache.trace: "))
+      << text;
+  text.clear();
+  ASSERT_TRUE(bench::DumpTrace(&env_, "/span.trace", true, &text).ok());
+  EXPECT_NE(std::string::npos, text.find("--- tree 0: thread ")) << text;
+  EXPECT_NE(std::string::npos, text.find("span trace: ")) << text;
+
+  ASSERT_TRUE(env_.WriteStringToFile("ELMOXXX1 is no trace", "/junk").ok());
+  EXPECT_TRUE(bench::DumpTrace(&env_, "/junk", false, &text).IsCorruption());
+  EXPECT_FALSE(bench::DumpTrace(&env_, "/missing", false, &text).ok());
 }
 
 }  // namespace

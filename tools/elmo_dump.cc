@@ -5,11 +5,9 @@
 //   elmo_dump sst <file> [--blocks] [--no-scan]
 //   elmo_dump manifest <file>
 //   elmo_dump log <file> [--verbose]
-//   elmo_dump iotrace <file> [--verbose]
-//   elmo_dump cachetrace <file> [--verbose]
+//   elmo_dump trace <file> [--verbose]
 //   elmo_dump io-analyze <file> [--json]
 //   elmo_dump cache-sim <file> --capacity=<bytes> [--json]
-//   elmo_dump spantrace <file> [--verbose]
 //   elmo_dump span-analyze <file> [--json]
 //   elmo_dump span-export <file>
 //   elmo_dump health <file> [--json]
@@ -38,14 +36,13 @@ void Usage() {
           "  manifest <file>                     decode MANIFEST edits\n"
           "  log <file> [--verbose]              validate + summarize JSONL"
           " LOG\n"
-          "  iotrace <file> [--verbose]          decode an IO trace\n"
-          "  cachetrace <file> [--verbose]       decode a block-cache trace\n"
+          "  trace <file> [--verbose]            decode any trace (op, IO,"
+          " block-cache, span)\n"
           "  io-analyze <file> [--json]          per-kind/context IO"
           " breakdown\n"
           "  cache-sim <file> --capacity=N [--json]\n"
           "                                      miss-ratio curve from a"
           " cache trace\n"
-          "  spantrace <file> [--verbose]        decode a span trace\n"
           "  span-analyze <file> [--json]        p99 latency attribution"
           " from a span trace\n"
           "  span-export <file>                  span trace -> Chrome"
@@ -100,12 +97,8 @@ int main(int argc, char** argv) {
   } else if (command == "log") {
     s = elmo::bench::DumpInfoLog(env, path, HasFlag(flags, "--verbose"),
                                  &text);
-  } else if (command == "iotrace") {
-    s = elmo::bench::DumpIOTrace(env, path, HasFlag(flags, "--verbose"),
-                                 &text);
-  } else if (command == "cachetrace") {
-    s = elmo::bench::DumpBlockCacheTrace(env, path,
-                                         HasFlag(flags, "--verbose"), &text);
+  } else if (command == "trace") {
+    s = elmo::bench::DumpTrace(env, path, HasFlag(flags, "--verbose"), &text);
   } else if (command == "io-analyze") {
     elmo::bench::IOAnalysis analysis;
     s = elmo::bench::AnalyzeIOTrace(env, path, /*heatmap_buckets=*/20,
@@ -127,9 +120,6 @@ int main(int argc, char** argv) {
                  ? elmo::json::Value(result.ToJson()).Dump(2) + "\n"
                  : result.ToText();
     }
-  } else if (command == "spantrace") {
-    s = elmo::bench::DumpSpanTrace(env, path, HasFlag(flags, "--verbose"),
-                                   &text);
   } else if (command == "span-analyze") {
     elmo::bench::SpanAttribution attr;
     s = elmo::bench::AnalyzeSpanTrace(env, path, &attr);
