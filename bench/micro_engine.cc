@@ -4,9 +4,11 @@
 // loop.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "bench_kit/bench_runner.h"
 #include "elmo/online_tuner.h"
@@ -213,6 +215,71 @@ void BM_DbGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DbGet)->Arg(0)->Arg(10);
+
+// Gets racing a writer, as on a served DB: thread 0 opens the DB, loads
+// it and starts one background writer that overwrites the same keys
+// without pause, so memtable switches, flushes and compactions run
+// throughout. Every benchmark thread (1 or 3) times Gets.
+struct DbUnderWrites {
+  static constexpr int kKeys = 50000;
+  MemEnv env;
+  std::unique_ptr<DB> db;
+  std::atomic<bool> stop{false};
+  std::thread writer;
+};
+DbUnderWrites* db_under_writes = nullptr;  // set by thread 0 before the loop
+
+void BM_DbGetWhileWriting(benchmark::State& state) {
+  auto key_of = [](uint64_t i, char* key) {
+    snprintf(key, 16, "%015llu", static_cast<unsigned long long>(i));
+  };
+  const std::string value(100, 'v');
+  if (state.thread_index() == 0) {
+    auto fixture = std::make_unique<DbUnderWrites>();
+    Options options;
+    options.env = &fixture->env;
+    options.write_buffer_size = 1 << 20;
+    options.bloom_filter_bits_per_key = 10;
+    char key[16];
+    bool ok = DB::Open(options, "/bm", &fixture->db).ok();
+    for (int i = 0; ok && i < DbUnderWrites::kKeys; i++) {
+      key_of(i, key);
+      ok = fixture->db->Put({}, Slice(key, 16), value).ok();
+    }
+    if (ok && fixture->db->WaitForBackgroundWork().ok()) {
+      DbUnderWrites* f = fixture.get();
+      f->writer = std::thread([f, key_of, value] {
+        Random64 rng(7);
+        char wkey[16];
+        while (!f->stop.load(std::memory_order_relaxed)) {
+          key_of(rng.Uniform(DbUnderWrites::kKeys), wkey);
+          f->db->Put({}, Slice(wkey, 16), value);
+        }
+      });
+      db_under_writes = fixture.release();
+    }
+  }
+  Random64 rng(42 + state.thread_index());
+  std::string out;
+  char key[16];
+  for (auto _ : state) {
+    if (db_under_writes == nullptr) {
+      state.SkipWithError("setup failed");
+      break;
+    }
+    key_of(rng.Uniform(DbUnderWrites::kKeys), key);
+    benchmark::DoNotOptimize(
+        db_under_writes->db->Get({}, Slice(key, 16), &out));
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0 && db_under_writes != nullptr) {
+    db_under_writes->stop.store(true);
+    db_under_writes->writer.join();
+    delete db_under_writes;
+    db_under_writes = nullptr;
+  }
+}
+BENCHMARK(BM_DbGetWhileWriting)->Threads(1)->Threads(3)->UseRealTime();
 
 }  // namespace
 

@@ -68,13 +68,13 @@ class SyncingWritableFile : public WritableFile {
   uint64_t since_sync_ = 0;
 };
 
-// Keeps arbitrary shared state (memtables, versions) alive for the
-// lifetime of a wrapped iterator.
+// Keeps the read view an iterator was built from (its memtables and
+// Version) alive for the lifetime of the iterator.
 class RefHolderIterator : public Iterator {
  public:
   RefHolderIterator(std::unique_ptr<Iterator> inner,
-                    std::vector<std::shared_ptr<void>> refs)
-      : inner_(std::move(inner)), refs_(std::move(refs)) {}
+                    std::shared_ptr<const SuperVersion> view)
+      : inner_(std::move(inner)), view_(std::move(view)) {}
 
   bool Valid() const override { return inner_->Valid(); }
   void SeekToFirst() override { inner_->SeekToFirst(); }
@@ -88,7 +88,7 @@ class RefHolderIterator : public Iterator {
 
  private:
   std::unique_ptr<Iterator> inner_;
-  std::vector<std::shared_ptr<void>> refs_;
+  std::shared_ptr<const SuperVersion> view_;
 };
 
 Options SanitizeOptions(const Options& src) {
@@ -394,6 +394,9 @@ Status DBImpl::Recover() {
   edit.SetLogNumber(logfile_number_);
   s = versions_->LogAndApply(&edit);
   if (!s.ok()) return s;
+  visible_sequence_.store(versions_->LastSequence(),
+                          std::memory_order_release);
+  InstallSuperVersionLocked();
 
   // Replay runtime-mutable options from the previous incarnation's
   // OPTIONS file (opt-in): a DB retuned live via SetOptions() reopens
@@ -639,6 +642,7 @@ Status DBImpl::Write(const WriteOptions& opts, WriteBatch* updates) {
   }
   if (s.ok()) {
     versions_->SetLastSequence(seq + count - 1);
+    visible_sequence_.store(seq + count - 1, std::memory_order_release);
     // A fully-acked write proves the WAL healthy; forget any consumed
     // auto-resume budget so the next episode starts fresh.
     error_handler_.NoteBackgroundWorkSuccess();
@@ -861,6 +865,7 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& l) {
     if (sim_ != nullptr) vstall_.OnMemtableSwitch();
     mem_ = std::make_shared<MemTable>(internal_comparator_);
     wal_live_bytes_ = 0;
+    InstallSuperVersionLocked();
     MaybeScheduleFlush();
   }
 }
@@ -1070,7 +1075,9 @@ void DBImpl::RecordBackgroundError(BackgroundErrorSource source,
   if (s.ok()) return;
   // An orderly shutdown aborts in-flight jobs; that is not an error.
   if (shutting_down_.load() && s.IsAborted()) return;
-  if (!error_handler_.SetBGError(source, s, env_->NowMicros())) return;
+  const bool changed = error_handler_.SetBGError(source, s, env_->NowMicros());
+  bg_error_pending_.store(!error_handler_.ok(), std::memory_order_release);
+  if (!changed) return;
 
   const ErrorHandler::State& st = error_handler_.state();
   switch (st.severity) {
@@ -1154,10 +1161,12 @@ Status DBImpl::ResumeImpl(bool manual) {
     versions_->ForceNewManifest();
     VersionEdit edit;
     repair = versions_->LogAndApply(&edit);
+    if (repair.ok()) InstallSuperVersionLocked();
   }
 
   if (repair.ok()) {
     error_handler_.OnResumeSucceeded();
+    bg_error_pending_.store(false, std::memory_order_release);
     stats_.Add(Ticker::kAutoResumeSuccess, 1);
     ELMO_LOG(options_.info_log.get(),
              "background error recovered (%s/%s) after %d attempt(s)",
@@ -1313,6 +1322,7 @@ Status DBImpl::FlushWork(FlushJobInfo* info, BackgroundErrorSource* esrc) {
 
   if (s.ok()) {
     imm_.erase(imm_.begin(), imm_.begin() + n_taken);
+    InstallSuperVersionLocked();
     info->imms_merged = static_cast<int>(n_taken);
     info->file_number = meta.file_size > 0 ? meta.number : 0;
     info->output_bytes = meta.file_size;
@@ -1424,6 +1434,28 @@ SequenceNumber DBImpl::SmallestSnapshot() const {
   return *std::min_element(snapshots_.begin(), snapshots_.end());
 }
 
+void DBImpl::InstallSuperVersionLocked() {
+  // REQUIRES: mu_ held.
+  std::vector<std::shared_ptr<MemTable>> imms;
+  imms.reserve(imm_.size());
+  for (auto it = imm_.rbegin(); it != imm_.rend(); ++it) {
+    imms.push_back(it->mem);
+  }
+  std::shared_ptr<const SuperVersion> view = std::make_shared<SuperVersion>(
+      SuperVersion{mem_, std::move(imms), versions_->current()});
+  {
+    std::lock_guard<std::mutex> l(view_mu_);
+    view_.swap(view);
+  }
+  // The replaced view, and any memtable only it still held, is freed
+  // here, outside view_mu_.
+}
+
+std::shared_ptr<const SuperVersion> DBImpl::ReadView() const {
+  std::lock_guard<std::mutex> l(view_mu_);
+  return view_;
+}
+
 Status DBImpl::OpenCompactionOutputFile(std::unique_ptr<WritableFile>* file,
                                         uint64_t* number) {
   // REQUIRES: mu_ held.
@@ -1477,6 +1509,7 @@ Status DBImpl::CompactionWork(std::unique_ptr<Compaction> c, int* l0_consumed,
         *esrc = BackgroundErrorSource::kCompaction;
       }
     }
+    if (s.ok()) InstallSuperVersionLocked();
     stats_.Add(Ticker::kTrivialMoveCount, 1);
     // The file changed levels without a rewrite: bytes arrive at the
     // output level for free (no write amplification charged).
@@ -1636,6 +1669,7 @@ Status DBImpl::CompactionWork(std::unique_ptr<Compaction> c, int* l0_consumed,
     }
     if (s.ok()) ELMO_KILL_POINT("compaction:after_apply");
     if (s.ok()) {
+      InstallSuperVersionLocked();
       span.Annotate(SpanTag::kBytes, output_bytes);
       span.Annotate(SpanTag::kEntries, entries);
       stats_.Add(Ticker::kCompactionCount, 1);
@@ -1728,30 +1762,19 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   const uint64_t t_start = env_->NowMicros();
   PerfContext* perf = GetPerfContext();
   SpanScope span(env_, SpanKind::kGet, &span_tracer_);
-  std::shared_ptr<MemTable> mem;
-  std::vector<std::shared_ptr<MemTable>> imms;
-  std::shared_ptr<Version> version;
-  SequenceNumber snapshot;
-  {
-    std::lock_guard<std::mutex> l(mu_);
+  if (bg_error_pending_.load(std::memory_order_acquire)) {
     // Reads keep serving in every degraded state; they also piggyback a
     // due auto-resume attempt (under SimEnv the foreground is the only
     // clock observer).
+    std::lock_guard<std::mutex> l(mu_);
     if (!error_handler_.ok()) MaybeResumeLocked();
-    if (options.snapshot != nullptr) {
-      snapshot =
-          static_cast<const SnapshotImpl*>(options.snapshot)->sequence;
-    } else {
-      snapshot = versions_->LastSequence();
-    }
-    mem = mem_;
-    imms.reserve(imm_.size());
-    // Newest immutable first.
-    for (auto it = imm_.rbegin(); it != imm_.rend(); ++it) {
-      imms.push_back(it->mem);
-    }
-    version = versions_->current();
   }
+  // View first, then sequence (see db_impl.h).
+  const std::shared_ptr<const SuperVersion> view = ReadView();
+  const SequenceNumber snapshot =
+      options.snapshot != nullptr
+          ? static_cast<const SnapshotImpl*>(options.snapshot)->sequence
+          : visible_sequence_.load(std::memory_order_acquire);
 
   LookupKey lkey(key, snapshot);
   Status s;
@@ -1760,12 +1783,12 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
 
   {
     SpanScope mem_span(env_, SpanKind::kMemtableProbe);
-    if (mem->Get(lkey, value, &s)) {
+    if (view->mem->Get(lkey, value, &s)) {
       done = true;
       if (s.ok()) perf->get_memtable_hit++;
     }
     if (!done) {
-      for (const auto& m : imms) {
+      for (const auto& m : view->imms) {
         if (m->Get(lkey, value, &s)) {
           done = true;
           if (s.ok()) perf->get_imm_hit++;
@@ -1779,7 +1802,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
     SpanScope sst_span(env_, SpanKind::kSstProbe);
     const BlockCacheLookups cache_before = ThreadBlockCacheLookups();
     Version::GetStats vstats;
-    s = version->Get(options, lkey, value, &vstats);
+    s = view->version->Get(options, lkey, value, &vstats);
     files_probed = vstats.files_probed;
     if (s.ok()) perf->get_sst_hit++;
     const BlockCacheLookups cache_after = ThreadBlockCacheLookups();
@@ -1829,31 +1852,27 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
 
 std::unique_ptr<Iterator> DBImpl::NewInternalIterator(
     const ReadOptions& options, SequenceNumber* latest_seq) {
-  std::lock_guard<std::mutex> l(mu_);
   // Scan-heavy phases must tick the sampler too: under SimEnv no thread
   // can observe virtual time, so every frequent call site piggybacks.
-  MaybeSampleLocked();
-  *latest_seq = versions_->LastSequence();
+  if (sampler_ != nullptr && sampler_->Due(env_->NowMicros())) {
+    std::lock_guard<std::mutex> l(mu_);
+    MaybeSampleLocked();
+  }
+  // View first, then sequence (see db_impl.h).
+  std::shared_ptr<const SuperVersion> view = ReadView();
+  *latest_seq = visible_sequence_.load(std::memory_order_acquire);
 
   std::vector<std::unique_ptr<Iterator>> children;
-  std::vector<std::shared_ptr<void>> refs;
-
-  children.push_back(mem_->NewIterator());
-  refs.push_back(mem_);
-  for (auto it = imm_.rbegin(); it != imm_.rend(); ++it) {
-    children.push_back(it->mem->NewIterator());
-    refs.push_back(it->mem);
-  }
-  auto version = versions_->current();
+  children.push_back(view->mem->NewIterator());
+  for (const auto& m : view->imms) children.push_back(m->NewIterator());
   TableIterOptions iter_opts;
   iter_opts.fill_cache = options.fill_cache;
-  version->AddIterators(iter_opts, &children);
-  refs.push_back(version);
+  view->version->AddIterators(iter_opts, &children);
 
   auto merged =
       NewMergingIterator(&internal_comparator_, std::move(children));
   return std::make_unique<RefHolderIterator>(std::move(merged),
-                                             std::move(refs));
+                                             std::move(view));
 }
 
 std::unique_ptr<Iterator> DBImpl::NewIterator(const ReadOptions& options) {
@@ -2593,6 +2612,7 @@ Status DBImpl::FlushMemTable() {
     if (sim_ != nullptr) vstall_.OnMemtableSwitch();
     mem_ = std::make_shared<MemTable>(internal_comparator_);
     wal_live_bytes_ = 0;
+    InstallSuperVersionLocked();
   }
   if (imm_.empty()) return Status::OK();
 
@@ -2672,11 +2692,7 @@ Status DBImpl::WaitForBackgroundWork() {
 
 void DBImpl::GetApproximateSizes(const Range* ranges, int n,
                                  uint64_t* sizes) {
-  std::shared_ptr<Version> version;
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    version = versions_->current();
-  }
+  const std::shared_ptr<Version> version = ReadView()->version;
   const Comparator* ucmp = internal_comparator_.user_comparator();
 
   for (int i = 0; i < n; i++) {

@@ -1,11 +1,21 @@
 // DBImpl: the engine behind DB. Single-mutex design in the leveldb
-// lineage, with two execution modes:
+// lineage for writers and background work, with two execution modes:
 //
 //  * real envs (Posix/Mem): flushes and compactions run on Env thread
 //    pools; writers wait on a condition variable during stalls.
 //  * SimEnv: background jobs run inline under a job meter and are
 //    assigned virtual completion times on core lanes; writers stall
 //    against VirtualStallState and jump the virtual clock forward.
+//
+// Readers stay off mu_. Whenever mem_, imm_ or the current Version
+// changes (memtable switch, flush install, every successful
+// LogAndApply), the change republishes an immutable, ref-counted
+// SuperVersion under mu_; Write publishes the last visible sequence
+// after its memtable insert. Get, iterators and GetApproximateSizes
+// load the view first and the sequence second: a sequence read before
+// the view could be older than versions a compaction in that view has
+// already dropped. A reader takes mu_ only for a due sampler tick or
+// while a background error is pending (the auto-resume piggyback).
 #pragma once
 
 #include <atomic>
@@ -17,6 +27,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "env/io_tracing_env.h"
 #include "env/sim_env.h"
@@ -42,6 +53,17 @@ class SnapshotImpl : public Snapshot {
  public:
   explicit SnapshotImpl(SequenceNumber seq) : sequence(seq) {}
   const SequenceNumber sequence;
+};
+
+// One consistent read view: every source a read consults, captured
+// together under the DB mutex. Immutable once published; readers share
+// it by reference count, so it keeps its memtables and Version (and
+// through it the SST files) alive for as long as a Get or iterator
+// uses it.
+struct SuperVersion {
+  std::shared_ptr<MemTable> mem;
+  std::vector<std::shared_ptr<MemTable>> imms;  // newest first
+  std::shared_ptr<Version> version;
 };
 
 class DBImpl : public DB {
@@ -162,6 +184,12 @@ class DBImpl : public DB {
 
   SequenceNumber SmallestSnapshot() const;  // REQUIRES: mu_
 
+  // Publish a new SuperVersion from mem_, imm_ and the current Version.
+  // Called at every change to any of the three. REQUIRES: mu_.
+  void InstallSuperVersionLocked();
+  // The current read view; takes view_mu_, never mu_.
+  std::shared_ptr<const SuperVersion> ReadView() const;
+
   std::unique_ptr<Iterator> NewInternalIterator(const ReadOptions& options,
                                                 SequenceNumber* latest_seq);
 
@@ -244,6 +272,14 @@ class DBImpl : public DB {
   uint64_t wal_live_bytes_ = 0;  // bytes in WALs with unflushed data
 
   std::unique_ptr<VersionSet> versions_;
+  // The read view and the last sequence readers may see. Written under
+  // mu_, read without it (see the header comment). view_mu_ guards the
+  // pointer alone, so a reader holds it for one reference-count
+  // increment. Declared after versions_ so the last view is released
+  // before the VersionSet.
+  mutable std::mutex view_mu_;
+  std::shared_ptr<const SuperVersion> view_;
+  std::atomic<SequenceNumber> visible_sequence_{0};
   std::list<SequenceNumber> snapshots_;
   std::set<uint64_t> pending_outputs_;
 
@@ -253,6 +289,9 @@ class DBImpl : public DB {
   // Classified background-error state machine; replaces the old sticky
   // bg_error_ Status. Guarded by mu_.
   ErrorHandler error_handler_;
+  // Mirrors !error_handler_.ok() for readers, which take mu_ for the
+  // auto-resume piggyback only while it is set.
+  std::atomic<bool> bg_error_pending_{false};
   std::atomic<bool> shutting_down_{false};
 
   // Free-space headroom monitor (null unless

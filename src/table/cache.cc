@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
 
 namespace elmo {
 
@@ -27,15 +28,15 @@ class LruShard {
 
   void Insert(const Slice& key, std::shared_ptr<void> value, size_t charge) {
     std::lock_guard<std::mutex> l(mu_);
-    std::string k = key.ToString();
-    auto it = map_.find(k);
+    auto it = map_.find(key.view());
     if (it != map_.end()) {
       usage_ -= it->second->charge;
-      lru_.erase(it->second);
+      auto node = it->second;
       map_.erase(it);
+      lru_.erase(node);
     }
-    lru_.push_front(Entry{k, std::move(value), charge});
-    map_[k] = lru_.begin();
+    lru_.push_front(Entry{key.ToString(), std::move(value), charge});
+    map_.emplace(lru_.front().key, lru_.begin());
     usage_ += charge;
     stats_.inserts++;
     stats_.evictions += EvictIfNeeded();
@@ -43,7 +44,7 @@ class LruShard {
 
   std::shared_ptr<void> Lookup(const Slice& key) {
     std::lock_guard<std::mutex> l(mu_);
-    auto it = map_.find(key.ToString());
+    auto it = map_.find(key.view());
     if (it == map_.end()) {
       stats_.misses++;
       return nullptr;
@@ -61,11 +62,12 @@ class LruShard {
 
   void Erase(const Slice& key) {
     std::lock_guard<std::mutex> l(mu_);
-    auto it = map_.find(key.ToString());
+    auto it = map_.find(key.view());
     if (it == map_.end()) return;
     usage_ -= it->second->charge;
-    lru_.erase(it->second);
+    auto node = it->second;
     map_.erase(it);
+    lru_.erase(node);
   }
 
   size_t Usage() const {
@@ -98,7 +100,10 @@ class LruShard {
   size_t usage_ = 0;
   Cache::Stats stats_;  // per-shard, so lookups never cross-serialize
   std::list<Entry> lru_;
-  std::unordered_map<std::string, std::list<Entry>::iterator> map_;
+  // Keys view the owning Entry's string: list nodes never move, and an
+  // entry leaves the map before its node is freed. Lookups therefore
+  // hash the caller's bytes without copying them.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> map_;
 };
 
 class ShardedLruCache : public Cache {

@@ -1,9 +1,13 @@
 // Concurrent access: parallel writers, readers racing background
-// flush/compaction, snapshot stability under churn, per-Get block-cache
-// attribution under concurrent readers.
+// flush/compaction, read views held across compactions, snapshot
+// stability under churn, per-Get block-cache attribution under
+// concurrent readers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <charconv>
+#include <cstdio>
+#include <mutex>
 #include <thread>
 
 #include "env/mem_env.h"
@@ -109,6 +113,165 @@ TEST_F(DbConcurrencyTest, IteratorStableWhileWritersRun) {
   writer.join();
   EXPECT_EQ(1000, base_seen);
   EXPECT_EQ(0, new_seen);
+}
+
+// Three readers (Gets, iterator Seek/Next) race one writer whose 64 KiB
+// memtables switch, flush and compact all the time. Write g stores key
+// g % kKeys with a value naming both, so every read can check that it
+// got its key's last acked write or a newer one, and never a write not
+// yet issued. Some iterators are held until a compaction has finished
+// after they were opened, and only then read; the writer goes on until
+// each reader has read through at least one such iterator.
+TEST_F(DbConcurrencyTest, ReadViewsStayConsistentAcrossFlushAndCompaction) {
+  constexpr uint64_t kKeys = 512;
+  constexpr uint64_t kMinWrites = 30000;
+  constexpr uint64_t kMaxWrites = 30 * kMinWrites;
+  constexpr int kReaders = 3;
+  constexpr int kScanLength = 16;
+
+  auto key_of = [](uint64_t k) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "key%06llu",
+             static_cast<unsigned long long>(k));
+    return std::string(buf);
+  };
+  auto value_of = [&](uint64_t g) {
+    return key_of(g % kKeys) + "@" + std::to_string(g) + "|" +
+           std::string(100, 'v');
+  };
+  // The newest write of key k among writes 0..g (every key is written
+  // once before the race starts, so it exists).
+  auto last_write = [](uint64_t k, uint64_t g) {
+    return g - (g + kKeys - k) % kKeys;
+  };
+
+  for (uint64_t g = 0; g < kKeys; g++) {
+    ASSERT_TRUE(db_->Put({}, key_of(g), value_of(g)).ok());
+  }
+  std::atomic<uint64_t> issued{kKeys - 1};  // stored before each Put
+  std::atomic<uint64_t> acked{kKeys - 1};   // stored after each Put
+  std::atomic<bool> writer_done{false};
+
+  std::atomic<int> errors{0};
+  std::mutex first_error_mu;
+  std::string first_error;
+  auto fail = [&](const std::string& what) {
+    if (errors.fetch_add(1) == 0) {
+      std::lock_guard<std::mutex> l(first_error_mu);
+      first_error = what;
+    }
+  };
+  // A read of key k returned `value`; writes up to `lo` were acked before
+  // the read's view was taken and none after `hi` had been issued when
+  // it returned.
+  auto check = [&](uint64_t k, const std::string& value, uint64_t lo,
+                   uint64_t hi) {
+    const std::string key = key_of(k);
+    const size_t at = value.find('@');
+    const size_t bar = value.find('|', at);
+    uint64_t g = 0;
+    if (bar == std::string::npos || value.compare(0, at, key) != 0 ||
+        std::from_chars(value.data() + at + 1, value.data() + bar, g).ptr !=
+            value.data() + bar) {
+      fail(key + " read a value of another key: " + value.substr(0, 32));
+      return;
+    }
+    if (value != value_of(g) || g % kKeys != k) {
+      fail(key + " read a malformed value for write " + std::to_string(g));
+    } else if (g < last_write(k, lo)) {
+      fail(key + " read write " + std::to_string(g) + ", older than acked " +
+           std::to_string(last_write(k, lo)));
+    } else if (g > hi) {
+      fail(key + " read write " + std::to_string(g) +
+           " before it was issued (" + std::to_string(hi) + ")");
+    }
+  };
+
+  auto compactions = [&] {
+    return db_->stats().Get(Ticker::kCompactionCount);
+  };
+  std::atomic<int> readers_with_old_view{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; r++) {
+    readers.emplace_back([&, r] {
+      Random64 rng(200 + r);
+      std::string value;
+      bool read_old_view = false;
+      for (int round = 0; !writer_done.load(); round++) {
+        for (int i = 0; i < 64; i++) {
+          const uint64_t k = rng.Uniform(kKeys);
+          const uint64_t lo = acked.load();
+          Status s = db_->Get({}, key_of(k), &value);
+          const uint64_t hi = issued.load();
+          if (!s.ok()) {
+            fail(key_of(k) + " Get: " + s.ToString());
+          } else {
+            check(k, value, lo, hi);
+          }
+        }
+
+        const uint64_t lo = acked.load();
+        const uint64_t compactions_at_open = compactions();
+        auto iter = db_->NewIterator({});
+        const uint64_t hi = issued.load();
+        // Every other iterator waits for a compaction to replace the
+        // files its view reads before it reads them.
+        bool outlived_compaction = false;
+        if (round % 2 == 1) {
+          while (!writer_done.load() &&
+                 compactions() == compactions_at_open) {
+            std::this_thread::yield();
+          }
+          outlived_compaction = compactions() > compactions_at_open;
+        }
+        const uint64_t start = rng.Uniform(kKeys - kScanLength);
+        iter->Seek(key_of(start));
+        for (int j = 0; j < kScanLength; j++, iter->Next()) {
+          const uint64_t k = start + j;
+          if (!iter->Valid() || iter->key().ToString() != key_of(k)) {
+            fail("iterator lost " + key_of(k) + ": " +
+                 iter->status().ToString());
+            break;
+          }
+          check(k, iter->value().ToString(), lo, hi);
+        }
+        if (!iter->status().ok()) {
+          fail("iterator: " + iter->status().ToString());
+        }
+        if (outlived_compaction && !read_old_view) {
+          read_old_view = true;
+          readers_with_old_view.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  for (uint64_t g = kKeys;
+       g < kMaxWrites &&
+       (g < kMinWrites || readers_with_old_view.load() < kReaders);
+       g++) {
+    issued.store(g);
+    Status s = db_->Put({}, key_of(g % kKeys), value_of(g));
+    if (!s.ok()) {
+      fail("Put: " + s.ToString());
+      break;
+    }
+    acked.store(g);
+  }
+  writer_done.store(true);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(0, errors.load()) << first_error;
+  EXPECT_EQ(kReaders, readers_with_old_view.load());
+
+  // Quiesced: every key reads exactly its last write.
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  std::string value;
+  for (uint64_t k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(db_->Get({}, key_of(k), &value).ok());
+    EXPECT_EQ(value_of(last_write(k, acked.load())), value);
+  }
 }
 
 TEST_F(DbConcurrencyTest, SnapshotStableUnderChurnAndCompaction) {

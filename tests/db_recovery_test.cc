@@ -203,11 +203,20 @@ TEST_F(DbRecoveryTest, RecoveryFlushesOversizedWalToL0) {
         db_->Put({}, "key" + std::to_string(i), std::string(100, 'v'))
             .ok());
   }
+  auto l0_files = [this] {
+    std::string n0;
+    EXPECT_TRUE(db_->GetProperty("elmo.num-files-at-level0", &n0));
+    return std::stoi(n0);
+  };
+  // Let the flushes and compactions these writes started finish, and
+  // keep compaction off after the reopen, so every L0 file the reopen
+  // adds is one the WAL replay wrote.
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  const int l0_before = l0_files();
+  options_.disable_auto_compactions = true;
   Reopen();
   EXPECT_EQ(std::string(100, 'v'), Get("key1500"));
-  std::string n0;
-  ASSERT_TRUE(db_->GetProperty("elmo.num-files-at-level0", &n0));
-  EXPECT_GE(std::stoi(n0), 1);
+  EXPECT_GT(l0_files(), l0_before);
 }
 
 TEST_F(DbRecoveryTest, ObsoleteFilesRemovedAfterCompaction) {
