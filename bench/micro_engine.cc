@@ -281,6 +281,47 @@ void BM_DbGetWhileWriting(benchmark::State& state) {
 }
 BENCHMARK(BM_DbGetWhileWriting)->Threads(1)->Threads(3)->UseRealTime();
 
+// Puts from 1, 2 or 4 threads into one DB, each thread writing its own
+// random 16-byte keys: how the write path scales with writers. Thread 0
+// opens the DB (MemEnv, 1 MiB memtables, so flushes and compactions run
+// throughout) before the timed loop and closes it after.
+DB* shared_put_db = nullptr;  // set by thread 0 before the loop
+std::unique_ptr<MemEnv> shared_put_env;
+
+void BM_DbPutConcurrent(benchmark::State& state) {
+  if (state.thread_index() == 0) {
+    shared_put_env = std::make_unique<MemEnv>();
+    Options options;
+    options.env = shared_put_env.get();
+    options.write_buffer_size = 1 << 20;
+    std::unique_ptr<DB> db;
+    if (DB::Open(options, "/bm", &db).ok()) shared_put_db = db.release();
+  }
+  Random64 rng(42 + state.thread_index());
+  const std::string value(100, 'v');
+  char key[16];
+  for (auto _ : state) {
+    if (shared_put_db == nullptr) {
+      state.SkipWithError("open failed");
+      break;
+    }
+    EncodeFixed64(key, rng.Next());
+    EncodeFixed64(key + 8, rng.Next());
+    if (!shared_put_db->Put({}, Slice(key, 16), value).ok()) {
+      state.SkipWithError("put failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    delete shared_put_db;
+    shared_put_db = nullptr;
+    shared_put_env.reset();
+  }
+}
+BENCHMARK(BM_DbPutConcurrent)->Threads(1)->Threads(2)->Threads(4)
+    ->UseRealTime();
+
 }  // namespace
 
 // Write a JSON benchmark report (headline numbers + the engine's

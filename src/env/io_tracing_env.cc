@@ -72,8 +72,8 @@ class TracingWritableFile : public WritableFile {
       : env_(env), fname_(std::move(fname)), target_(std::move(target)) {}
 
   Status Append(const Slice& data) override {
-    const uint64_t offset = target_->GetFileSize();
     if (!env_->tracing()) return target_->Append(data);
+    const uint64_t offset = target_->GetFileSize();
     const uint64_t start = env_->base()->NowMicros();
     Status s = target_->Append(data);
     const uint64_t end = env_->base()->NowMicros();

@@ -1,5 +1,5 @@
-// DBImpl: the engine behind DB. Single-mutex design in the leveldb
-// lineage for writers and background work, with two execution modes:
+// DBImpl: the engine behind DB. One DB mutex (mu_) in the leveldb
+// lineage guards the engine state, with two execution modes:
 //
 //  * real envs (Posix/Mem): flushes and compactions run on Env thread
 //    pools; writers wait on a condition variable during stalls.
@@ -7,15 +7,47 @@
 //    assigned virtual completion times on core lanes; writers stall
 //    against VirtualStallState and jump the virtual clock forward.
 //
+// Writers commit in groups. Each Write queues a stack Writer under mu_
+// (writers_); the front writer leads. The leader runs MakeRoomForWrite
+// once, merges the batches queued behind it into one group (same
+// disable_wal, no sync writer behind a non-sync leader, size-capped),
+// assigns the group's sequence, and releases mu_. Off the mutex it
+// appends one WAL record (syncing once if the leader asked) and inserts
+// the group into mem_. It then relocks, records a WAL failure as a
+// background error (every member gets the same status and nothing of
+// the group becomes visible) or sets LastSequence and publishes the
+// visible sequence, ticks the sampler once, marks the members done and
+// makes the next queued writer the leader. Each writer keeps its own
+// accounting (tickers, write latency, PerfContext, modelled CPU); the
+// leader writes the members' op-trace records in sequence order.
+//
+// Only the front writer may switch mem_ or the WAL, so they never
+// change under a leader that is working off the mutex. FlushMemTable
+// and shutdown enter the queue as exclusive writers with no batch and
+// are never grouped. The WAL roll in ResumeImpl does not queue, since
+// its caller may be the recovery thread that a soft-stalled front
+// writer waits for. It needs no queue entry: a WAL error is recorded by
+// a leader after it relocks, and MakeRoomForWrite admits no group while
+// any error is pending, so no group is in flight while a WAL error
+// waits for its roll.
+//
+// A queued writer waits on its own atomic state: it spins a bounded
+// number of pause instructions (about 15 us) and then blocks on its own
+// condition variable, so a follower whose group finishes quickly never
+// sleeps, and a finished follower never touches mu_ again. The leader
+// dequeues its group under mu_ and wakes the members and the next
+// leader after releasing it.
+//
 // Readers stay off mu_. Whenever mem_, imm_ or the current Version
 // changes (memtable switch, flush install, every successful
 // LogAndApply), the change republishes an immutable, ref-counted
-// SuperVersion under mu_; Write publishes the last visible sequence
-// after its memtable insert. Get, iterators and GetApproximateSizes
-// load the view first and the sequence second: a sequence read before
-// the view could be older than versions a compaction in that view has
-// already dropped. A reader takes mu_ only for a due sampler tick or
-// while a background error is pending (the auto-resume piggyback).
+// SuperVersion under mu_; a write group publishes the last visible
+// sequence after its memtable insert. Get, iterators and
+// GetApproximateSizes load the view first and the sequence second: a
+// sequence read before the view could be older than versions a
+// compaction in that view has already dropped. A reader takes mu_ only
+// for a due sampler tick or while a background error is pending (the
+// auto-resume piggyback).
 #pragma once
 
 #include <atomic>
@@ -115,7 +147,30 @@ class DBImpl : public DB {
   Status RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence);
   Status SwitchToNewLog();
 
-  // --- write path ---
+  // --- write path (see the header comment) ---
+  struct Writer;  // one queued Write, or an exclusive writer (no batch)
+  // Queue `w` and wait until a leader has finished it or it is at the
+  // front. Returns true at the front, with `l` holding mu_; false once
+  // done, with `l` released. REQUIRES: `l` holds mu_.
+  bool JoinWriteQueue(Writer* w, std::unique_lock<std::mutex>& l);
+  // Merge the batches of the writers queued behind the leader into one
+  // group; sets *last_writer to the last member. A group of one is the
+  // leader's own batch. REQUIRES: mu_, called by the front writer.
+  WriteBatch* BuildBatchGroup(Writer** last_writer);
+  // Dequeue the front writer through `last` and release mu_; then finish
+  // every member other than `self` with `s` and make the next queued
+  // writer the leader. REQUIRES: `l` holds mu_, `self` is the front
+  // writer. Returns with `l` released.
+  void FinishWriteGroup(Writer* self, Writer* last, const Status& s,
+                        std::unique_lock<std::mutex>& l);
+  // The group's WAL append and the sync policy. Runs off mu_ with the
+  // policy captured under it; sets *sync_failed when the append worked
+  // and the sync did not.
+  Status AppendToWal(const WriteBatch& group, bool sync,
+                     uint64_t bytes_per_sync, bool strict_bytes_per_sync,
+                     bool* sync_failed);
+  // One writer's per-batch accounting once its group's outcome is known.
+  void RecordWrite(const Writer& w, SpanScope* span);
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& l);
   int ImmCountForStall();     // virtual count under sim, real otherwise
   int L0CountForStall();
@@ -242,7 +297,8 @@ class DBImpl : public DB {
   Status ApplyDynamicOptionsLocked(
       const std::map<std::string, std::string>& changes,
       const std::string& source);
-  void TraceWriteBatch(const WriteBatch& updates, uint64_t ts_us);
+  void TraceWriteBatch(const WriteBatch& updates, uint64_t ts_us,
+                       uint32_t thread_id);
 
   // --- constant state ---
   Options options_;  // sanitized copy
@@ -263,6 +319,14 @@ class DBImpl : public DB {
   // --- mutable state, guarded by mu_ ---
   std::mutex mu_;
   std::condition_variable bg_work_finished_;
+  // Queued writers, front = leader. Stack-allocated by their callers.
+  std::deque<Writer*> writers_;
+  // The merged batch of a group of more than one; used by the leader
+  // only, cleared before it hands off.
+  WriteBatch group_batch_;
+  // mem_, logfile_, log_ and wal_bytes_since_sync_ change only under mu_
+  // while no group is in flight (by the front writer, or by the WAL roll
+  // of ResumeImpl); a leader uses them off mu_ while its group is.
   std::shared_ptr<MemTable> mem_;
   std::deque<ImmEntry> imm_;
   std::unique_ptr<WritableFile> logfile_;

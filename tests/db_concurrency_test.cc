@@ -1,4 +1,5 @@
-// Concurrent access: parallel writers, readers racing background
+// Concurrent access: parallel writers, write groups racing memtable
+// switches and option changes, readers racing background
 // flush/compaction, read views held across compactions, snapshot
 // stability under churn, per-Get block-cache attribution under
 // concurrent readers.
@@ -12,6 +13,7 @@
 
 #include "env/mem_env.h"
 #include "lsm/db.h"
+#include "lsm/db_impl.h"
 #include "lsm/span.h"
 #include "lsm/stats.h"
 #include "util/random.h"
@@ -62,6 +64,127 @@ TEST_F(DbConcurrencyTest, ParallelWritersAllLand) {
     ASSERT_TRUE(db_->Get({}, key, &value).ok()) << key;
     EXPECT_EQ("v" + std::to_string(i), value);
   }
+}
+
+// Four writers, one in sixteen of their writes synced, commit through
+// write groups while another thread forces memtable switches and
+// retunes write_buffer_size and a reader checks every value it sees.
+// Every acked write must survive, before and after a reopen replays the
+// WAL, and the last sequence must count exactly the acked entries.
+TEST_F(DbConcurrencyTest, WriteGroupKeepsEveryAckedWrite) {
+  constexpr int kWriters = 4;
+  constexpr int kKeysPerWriter = 64;
+  constexpr int kWritesPerWriter = 3000;
+  auto key_of = [](int t, int k) {
+    return "w" + std::to_string(t) + "-" + std::to_string(k);
+  };
+  // Self-identifying: the key, the writer's write number, padding.
+  auto value_of = [&](int t, int k, int n) {
+    return key_of(t, k) + "@" + std::to_string(n) + "|" +
+           std::string(80, 'v');
+  };
+  // The writer's number of the last acked write of each key, -1 before.
+  std::vector<std::atomic<int>> acked(kWriters * kKeysPerWriter);
+  for (auto& a : acked) a.store(-1);
+  std::atomic<uint64_t> acked_entries{0};
+  std::atomic<int> writers_running{kWriters};
+
+  std::atomic<int> errors{0};
+  std::mutex first_error_mu;
+  std::string first_error;
+  auto fail = [&](const std::string& what) {
+    if (errors.fetch_add(1) == 0) {
+      std::lock_guard<std::mutex> l(first_error_mu);
+      first_error = what;
+    }
+  };
+  // `value` was read for key (t, k) after write `lo` of it was acked.
+  auto check = [&](int t, int k, const std::string& value, int lo) {
+    const std::string key = key_of(t, k);
+    const size_t at = value.find('@');
+    const size_t bar = value.find('|', at);
+    int n = -1;
+    if (bar == std::string::npos || value.compare(0, at, key) != 0 ||
+        std::from_chars(value.data() + at + 1, value.data() + bar, n).ptr !=
+            value.data() + bar ||
+        value != value_of(t, k, n)) {
+      fail(key + " read a foreign or malformed value: " +
+           value.substr(0, 32));
+    } else if (n < lo) {
+      fail(key + " read write " + std::to_string(n) + ", older than acked " +
+           std::to_string(lo));
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; t++) {
+    threads.emplace_back([&, t] {
+      for (int n = 0; n < kWritesPerWriter; n++) {
+        const int k = n % kKeysPerWriter;
+        WriteOptions wo;
+        wo.sync = n % 16 == 0;
+        Status s = db_->Put(wo, key_of(t, k), value_of(t, k, n));
+        if (!s.ok()) {
+          fail("Put: " + s.ToString());
+          break;
+        }
+        acked[t * kKeysPerWriter + k].store(n);
+        acked_entries.fetch_add(1);
+      }
+      writers_running.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; writers_running.load() > 0; i++) {
+      Status s = db_->FlushMemTable();
+      if (s.ok()) {
+        s = db_->SetOptions(
+            {{"write_buffer_size", std::to_string((i % 2 + 1) * (64 << 10))}});
+      }
+      if (!s.ok()) {
+        fail("FlushMemTable/SetOptions: " + s.ToString());
+        break;
+      }
+    }
+  });
+  threads.emplace_back([&] {
+    Random64 rng(11);
+    std::string value;
+    while (writers_running.load() > 0) {
+      const int t = static_cast<int>(rng.Uniform(kWriters));
+      const int k = static_cast<int>(rng.Uniform(kKeysPerWriter));
+      const int lo = acked[t * kKeysPerWriter + k].load();
+      Status s = db_->Get({}, key_of(t, k), &value);
+      if (s.ok()) {
+        check(t, k, value, lo);
+      } else if (lo >= 0 || !s.IsNotFound()) {
+        fail(key_of(t, k) + " Get: " + s.ToString());
+      }
+    }
+  });
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(0, errors.load()) << first_error;
+  ASSERT_EQ(static_cast<uint64_t>(kWriters) * kWritesPerWriter,
+            acked_entries.load());
+
+  auto expect_every_acked_write = [&] {
+    std::string value;
+    for (int t = 0; t < kWriters; t++) {
+      for (int k = 0; k < kKeysPerWriter; k++) {
+        ASSERT_TRUE(db_->Get({}, key_of(t, k), &value).ok()) << key_of(t, k);
+        EXPECT_EQ(value_of(t, k, acked[t * kKeysPerWriter + k].load()),
+                  value);
+      }
+    }
+    const Snapshot* snap = db_->GetSnapshot();
+    EXPECT_EQ(acked_entries.load(),
+              static_cast<const SnapshotImpl*>(snap)->sequence);
+    db_->ReleaseSnapshot(snap);
+  };
+  expect_every_acked_write();
+  db_.reset();
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
+  expect_every_acked_write();
 }
 
 TEST_F(DbConcurrencyTest, ReadersDuringWriteStorm) {

@@ -2,14 +2,20 @@
 // matrix, the retry/backoff state machine, degraded-mode behavior on a
 // live DB (reads serve while writes fail fast), auto-resume after a
 // transient FaultInjectionEnv burst, NoSpace pause/resume against the
-// MemFs capacity model, a planted permanent fault staying fatal, and
-// same-seed SimEnv recovery-timeline determinism.
+// MemFs capacity model, a planted permanent fault staying fatal, a WAL
+// failure under a write group failing every member, and same-seed SimEnv
+// recovery-timeline determinism.
 #include "lsm/error_handler.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "env/mem_env.h"
@@ -392,6 +398,172 @@ TEST(DbErrorHandler, PlantedPermanentFaultStaysFatal) {
   std::string v;
   ASSERT_TRUE(db->Get({}, "a", &v).ok());
   EXPECT_EQ("1", v);
+  db.reset();
+}
+
+// ---- a WAL failure under a write group ----
+
+// Id of the test writer running on this thread (-1 elsewhere), so the env
+// can tell when the writers have reached the DB.
+thread_local int tls_writer = -1;
+
+// A FaultInjectionEnv (injecting nothing itself) over `base`. Once
+// armed, the first WAL append made off the test writers' threads (the
+// pacer's) waits on a latch until `writers_to_queue` test writers have
+// entered Write and a grace period has passed, then goes through. The
+// first WAL append a test writer makes (the header of its group's
+// record) fails with a retryable error, which makes the DB
+// hard-degraded.
+class LatchWalEnv : public FaultInjectionEnv {
+ public:
+  LatchWalEnv(Env* base, int writers_to_queue)
+      : FaultInjectionEnv(base), writers_to_queue_(writers_to_queue) {}
+
+  void Arm() {
+    std::lock_guard<std::mutex> l(latch_mu_);
+    armed_ = true;
+  }
+  void WaitUntilHolding() {
+    std::unique_lock<std::mutex> l(latch_mu_);
+    latch_cv_.wait(l, [this] { return holding_; });
+  }
+  // Payload length of the failed record, from its log header.
+  size_t failed_record_bytes() {
+    std::lock_guard<std::mutex> l(latch_mu_);
+    return failed_record_bytes_;
+  }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    Status s = FaultInjectionEnv::NewWritableFile(fname, result);
+    if (s.ok() && fname.size() > 4 &&
+        fname.compare(fname.size() - 4, 4, ".log") == 0) {
+      *result = std::make_unique<WalFile>(this, std::move(*result));
+    }
+    return s;
+  }
+  uint64_t NowMicros() override {
+    if (tls_writer >= 0) {
+      std::lock_guard<std::mutex> l(latch_mu_);
+      arrived_.insert(tls_writer);
+      latch_cv_.notify_all();
+    }
+    return FaultInjectionEnv::NowMicros();
+  }
+
+ private:
+  class WalFile : public WritableFile {
+   public:
+    WalFile(LatchWalEnv* env, std::unique_ptr<WritableFile> target)
+        : env_(env), target_(std::move(target)) {}
+    Status Append(const Slice& data) override {
+      Status injected = env_->BeforeWalAppend(data);
+      return injected.ok() ? target_->Append(data) : injected;
+    }
+    Status Close() override { return target_->Close(); }
+    Status Flush() override { return target_->Flush(); }
+    Status Sync() override { return target_->Sync(); }
+    uint64_t GetFileSize() const override { return target_->GetFileSize(); }
+
+   private:
+    LatchWalEnv* const env_;
+    std::unique_ptr<WritableFile> target_;
+  };
+
+  Status BeforeWalAppend(const Slice& data) {
+    std::unique_lock<std::mutex> l(latch_mu_);
+    if (!armed_) return Status::OK();
+    if (tls_writer < 0) {
+      if (!holding_) {
+        holding_ = true;
+        latch_cv_.notify_all();
+        latch_cv_.wait(l, [this] {
+          return static_cast<int>(arrived_.size()) == writers_to_queue_;
+        });
+        // A writer that has read the clock in Write is one mutex
+        // acquisition away from the queue.
+        l.unlock();
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      }
+      return Status::OK();
+    }
+    armed_ = false;
+    if (data.size() == 7) {  // a log record header: crc32, len16, type
+      failed_record_bytes_ = static_cast<uint8_t>(data[4]) |
+                             (static_cast<uint8_t>(data[5]) << 8);
+    }
+    return Status::RetryableIOError("injected WAL append failure");
+  }
+
+  const int writers_to_queue_;
+  std::mutex latch_mu_;
+  std::condition_variable latch_cv_;
+  bool armed_ = false;
+  bool holding_ = false;
+  std::set<int> arrived_;
+  size_t failed_record_bytes_ = 0;
+};
+
+TEST(DbErrorHandler, WalFailureFailsEveryMemberOfTheGroup) {
+  constexpr int kWriters = 4;
+  MemEnv base;
+  LatchWalEnv env(&base, kWriters);
+  Options o;
+  o.env = &env;
+  o.create_if_missing = true;
+  o.max_bgerror_resume_count = 0;  // no auto-resume: Resume() by hand
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(o, "/db", &db).ok());
+  ASSERT_TRUE(db->Put({}, "before", "0").ok());
+
+  // The pacer's append is held while the writers queue behind it; they
+  // then commit as one group, whose single WAL record fails.
+  env.Arm();
+  Status pacer;
+  std::thread pacer_thread([&] { pacer = db->Put({}, "pacer", "p"); });
+  env.WaitUntilHolding();
+  auto key_of = [](int t) { return "w" + std::to_string(t); };
+  const std::string value(100, 'v');
+  std::vector<Status> results(kWriters);
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; t++) {
+    writers.emplace_back([&, t] {
+      tls_writer = t;
+      WriteOptions wo;
+      wo.sync = true;  // one sync for the group, were the append to work
+      results[t] = db->Put(wo, key_of(t), value);
+    });
+  }
+  pacer_thread.join();
+  for (auto& w : writers) w.join();
+
+  ASSERT_TRUE(pacer.ok()) << pacer.ToString();
+  for (int t = 0; t < kWriters; t++) {
+    EXPECT_FALSE(results[t].ok()) << key_of(t);
+    EXPECT_EQ(results[0].ToString(), results[t].ToString()) << key_of(t);
+  }
+  // One record carried all four batches: one batch header and four Put
+  // records.
+  WriteBatch one;
+  one.Put(key_of(0), value);
+  const size_t kBatchHeader = 12;
+  EXPECT_EQ(kBatchHeader + kWriters * (one.ApproximateSize() - kBatchHeader),
+            env.failed_record_bytes());
+  EXPECT_NE(std::string::npos,
+            BgErrorProperty(db.get()).find("\"severity\":\"hard\""));
+
+  std::string v;
+  for (int t = 0; t < kWriters; t++) {
+    EXPECT_TRUE(db->Get({}, key_of(t), &v).IsNotFound()) << key_of(t);
+  }
+  ASSERT_TRUE(db->Resume().ok());
+  for (int t = 0; t < kWriters; t++) {
+    EXPECT_TRUE(db->Get({}, key_of(t), &v).IsNotFound()) << key_of(t);
+  }
+  ASSERT_TRUE(db->Get({}, "pacer", &v).ok());
+  ASSERT_TRUE(db->Put({}, "after", "a").ok());
+  ASSERT_TRUE(db->Get({}, "after", &v).ok());
+  EXPECT_EQ("a", v);
   db.reset();
 }
 
