@@ -216,6 +216,59 @@ void BM_DbGet(benchmark::State& state) {
 }
 BENCHMARK(BM_DbGet)->Arg(0)->Arg(10);
 
+// A short scan: NewIterator, one Seek to a random key and 10 Next, on a
+// compacted DB (MemEnv) whose one sorted level holds the same 32k keys
+// cut into about state.range(0) files (counter l1_files). The cost should
+// not grow with the file count.
+void BM_DbSeek(benchmark::State& state) {
+  MemEnv env;
+  Options options;
+  options.env = &env;
+  options.num_levels = 2;  // CompactRange leaves everything in L1
+  options.write_buffer_size = 8 << 20;
+  const int n = 32768;
+  const uint64_t approx_entry_bytes = 114;  // 16 B key, 100 B value
+  options.target_file_size_base =
+      n * approx_entry_bytes / static_cast<uint64_t>(state.range(0));
+  std::unique_ptr<DB> db;
+  Status s = DB::Open(options, "/bm", &db);
+  if (!s.ok()) {
+    state.SkipWithError("open failed");
+    return;
+  }
+  // Two interleaved L0 runs, so the compaction merges and cuts them
+  // instead of moving one file down.
+  std::string value(100, 'v');
+  for (int parity = 0; parity < 2; parity++) {
+    for (int i = parity; i < n; i += 2) {
+      char key[16];
+      snprintf(key, sizeof(key), "%015d", i);
+      db->Put({}, Slice(key, 16), value);
+    }
+    db->FlushMemTable();
+  }
+  if (!db->CompactRange(nullptr, nullptr).ok()) {
+    state.SkipWithError("compaction failed");
+    return;
+  }
+  std::string files;
+  db->GetProperty("elmo.num-files-at-level1", &files);
+  state.counters["l1_files"] = std::stod(files);
+  Random64 rng(42);
+  for (auto _ : state) {
+    char key[16];
+    snprintf(key, sizeof(key), "%015d", (int)rng.Uniform(n));
+    auto it = db->NewIterator({});
+    it->Seek(Slice(key, 16));
+    for (int i = 0; i < 10 && it->Valid(); i++) {
+      benchmark::DoNotOptimize(it->value().data());
+      it->Next();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DbSeek)->Arg(1)->Arg(8)->Arg(32);
+
 // Gets racing a writer, as on a served DB: thread 0 opens the DB, loads
 // it and starts one background writer that overwrites the same keys
 // without pause, so memtable switches, flushes and compactions run

@@ -69,12 +69,14 @@ class SyncingWritableFile : public WritableFile {
 };
 
 // Keeps the read view an iterator was built from (its memtables and
-// Version) alive for the lifetime of the iterator.
+// Version) alive for the lifetime of the iterator. The level iterators
+// walk the Version's file lists, so view_ is declared first: it is
+// released only after inner_ is destroyed.
 class RefHolderIterator : public Iterator {
  public:
   RefHolderIterator(std::unique_ptr<Iterator> inner,
                     std::shared_ptr<const SuperVersion> view)
-      : inner_(std::move(inner)), view_(std::move(view)) {}
+      : view_(std::move(view)), inner_(std::move(inner)) {}
 
   bool Valid() const override { return inner_->Valid(); }
   void SeekToFirst() override { inner_->SeekToFirst(); }
@@ -87,8 +89,8 @@ class RefHolderIterator : public Iterator {
   Status status() const override { return inner_->status(); }
 
  private:
-  std::unique_ptr<Iterator> inner_;
   std::shared_ptr<const SuperVersion> view_;
+  std::unique_ptr<Iterator> inner_;
 };
 
 Options SanitizeOptions(const Options& src) {

@@ -5,6 +5,8 @@
 #include "fault/kill_point.h"
 #include "lsm/filename.h"
 #include "lsm/log_reader.h"
+#include "table/two_level_iterator.h"
+#include "util/coding.h"
 #include "util/logging.h"
 
 namespace elmo::lsm {
@@ -156,10 +158,58 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
   return Status::NotFound(Slice());
 }
 
+namespace {
+
+// The file list of one sorted level as an index for NewTwoLevelIterator:
+// key() is a file's largest internal key, value() its number and size.
+class LevelFileNumIterator : public Iterator {
+ public:
+  LevelFileNumIterator(const InternalKeyComparator& icmp,
+                       const std::vector<FileRef>* files)
+      : icmp_(icmp), files_(files), index_(files->size()) {}
+
+  bool Valid() const override { return index_ < files_->size(); }
+  void Seek(const Slice& target) override {
+    index_ = FindFile(icmp_, *files_, target);
+  }
+  void SeekToFirst() override { index_ = 0; }
+  void SeekToLast() override {
+    index_ = files_->empty() ? 0 : files_->size() - 1;
+  }
+  void Next() override {
+    assert(Valid());
+    index_++;
+  }
+  void Prev() override {
+    assert(Valid());
+    index_ = index_ == 0 ? files_->size() : index_ - 1;  // size = invalid
+  }
+  Slice key() const override {
+    assert(Valid());
+    return (*files_)[index_]->largest.Encode();
+  }
+  Slice value() const override {
+    assert(Valid());
+    EncodeFixed64(value_buf_, (*files_)[index_]->number);
+    EncodeFixed64(value_buf_ + 8, (*files_)[index_]->file_size);
+    return Slice(value_buf_, sizeof(value_buf_));
+  }
+  Status status() const override { return Status::OK(); }
+
+ private:
+  const InternalKeyComparator& icmp_;
+  const std::vector<FileRef>* const files_;
+  size_t index_;
+  mutable char value_buf_[16];
+};
+
+}  // namespace
+
 void Version::AddIterators(const TableIterOptions& iter_opts,
                            std::vector<std::unique_ptr<Iterator>>* iters) {
-  // L0 files newest first (merge order handles shadowing via sequence
-  // numbers anyway, but keep deterministic ordering).
+  // L0 files overlap: one table iterator each, newest first (merge order
+  // handles shadowing via sequence numbers anyway, but keep deterministic
+  // ordering).
   std::vector<FileRef> l0 = files_[0];
   std::sort(l0.begin(), l0.end(), [](const FileRef& a, const FileRef& b) {
     return a->number > b->number;
@@ -171,13 +221,23 @@ void Version::AddIterators(const TableIterOptions& iter_opts,
                                                        f->file_size,
                                                        level_opts));
   }
+  // Each deeper level: one lazy concatenation over this Version's file
+  // list (the DB iterator's SuperVersion keeps the Version alive). A
+  // table is opened only when the cursor reaches it, so a bad file in
+  // the middle of a level fails only the reads that cross it: from then
+  // on status() carries its error, and its keys are missing.
+  TableCache* table_cache = vset_->table_cache();
   for (int level = 1; level < num_levels(); level++) {
+    if (files_[level].empty()) continue;
     level_opts.level = level;
-    for (const auto& f : files_[level]) {
-      iters->push_back(vset_->table_cache()->NewIterator(f->number,
-                                                         f->file_size,
-                                                         level_opts));
-    }
+    iters->push_back(NewTwoLevelIterator(
+        std::make_unique<LevelFileNumIterator>(*vset_->icmp(),
+                                               &files_[level]),
+        [table_cache, level_opts](const Slice& file) {
+          return table_cache->NewIterator(DecodeFixed64(file.data()),
+                                          DecodeFixed64(file.data() + 8),
+                                          level_opts);
+        }));
   }
 }
 

@@ -51,7 +51,10 @@ class Version {
   Status Get(const ReadOptions& options, const LookupKey& key,
              std::string* value, GetStats* stats);
 
-  // Append iterators over every file (for the DB-wide merged iterator).
+  // Append the iterators the DB-wide merged iterator reads this Version
+  // through: one per L0 file, then one per non-empty deeper level. The
+  // level iterators read this Version's file lists, so it must outlive
+  // them.
   void AddIterators(const TableIterOptions& iter_opts,
                     std::vector<std::unique_ptr<Iterator>>* iters);
 

@@ -1,9 +1,9 @@
 #include "table/table.h"
 
-
 #include "env/io_trace.h"
 #include "table/block.h"
 #include "table/format.h"
+#include "table/two_level_iterator.h"
 #include "util/coding.h"
 
 namespace elmo {
@@ -241,121 +241,6 @@ std::unique_ptr<Iterator> Table::BlockReader(const Slice& index_value,
                                       r->options.comparator);
 }
 
-namespace {
-
-// Iterates over the data blocks named by an index iterator.
-class TwoLevelIterator : public Iterator {
- public:
-  TwoLevelIterator(
-      std::unique_ptr<Iterator> index_iter,
-      std::function<std::unique_ptr<Iterator>(const Slice&)> block_function)
-      : index_iter_(std::move(index_iter)),
-        block_function_(std::move(block_function)) {}
-
-  bool Valid() const override {
-    return data_iter_ != nullptr && data_iter_->Valid();
-  }
-
-  void Seek(const Slice& target) override {
-    index_iter_->Seek(target);
-    InitDataBlock();
-    if (data_iter_ != nullptr) data_iter_->Seek(target);
-    SkipEmptyDataBlocksForward();
-  }
-
-  void SeekToFirst() override {
-    index_iter_->SeekToFirst();
-    InitDataBlock();
-    if (data_iter_ != nullptr) data_iter_->SeekToFirst();
-    SkipEmptyDataBlocksForward();
-  }
-
-  void SeekToLast() override {
-    index_iter_->SeekToLast();
-    InitDataBlock();
-    if (data_iter_ != nullptr) data_iter_->SeekToLast();
-    SkipEmptyDataBlocksBackward();
-  }
-
-  void Next() override {
-    data_iter_->Next();
-    SkipEmptyDataBlocksForward();
-  }
-
-  void Prev() override {
-    data_iter_->Prev();
-    SkipEmptyDataBlocksBackward();
-  }
-
-  Slice key() const override { return data_iter_->key(); }
-  Slice value() const override { return data_iter_->value(); }
-
-  Status status() const override {
-    if (!index_iter_->status().ok()) return index_iter_->status();
-    if (data_iter_ != nullptr && !data_iter_->status().ok()) {
-      return data_iter_->status();
-    }
-    return status_;
-  }
-
- private:
-  // A data-block error must survive even though the erroring iterator
-  // is replaced while skipping.
-  void SaveChildError() {
-    if (data_iter_ != nullptr && status_.ok() &&
-        !data_iter_->status().ok()) {
-      status_ = data_iter_->status();
-    }
-  }
-
-  void SkipEmptyDataBlocksForward() {
-    while (data_iter_ == nullptr || !data_iter_->Valid()) {
-      SaveChildError();
-      if (!index_iter_->Valid()) {
-        data_iter_.reset();
-        return;
-      }
-      index_iter_->Next();
-      InitDataBlock();
-      if (data_iter_ != nullptr) data_iter_->SeekToFirst();
-    }
-  }
-
-  void SkipEmptyDataBlocksBackward() {
-    while (data_iter_ == nullptr || !data_iter_->Valid()) {
-      SaveChildError();
-      if (!index_iter_->Valid()) {
-        data_iter_.reset();
-        return;
-      }
-      index_iter_->Prev();
-      InitDataBlock();
-      if (data_iter_ != nullptr) data_iter_->SeekToLast();
-    }
-  }
-
-  void InitDataBlock() {
-    if (!index_iter_->Valid()) {
-      SaveChildError();
-      data_iter_.reset();
-      return;
-    }
-    Slice handle = index_iter_->value();
-    if (data_iter_ != nullptr && handle == current_handle_) return;
-    SaveChildError();
-    current_handle_.assign(handle.data(), handle.size());
-    data_iter_ = block_function_(handle);
-  }
-
-  std::unique_ptr<Iterator> index_iter_;
-  std::function<std::unique_ptr<Iterator>(const Slice&)> block_function_;
-  std::unique_ptr<Iterator> data_iter_;
-  std::string current_handle_;
-  Status status_;
-};
-
-}  // namespace
-
 std::unique_ptr<Iterator> Table::NewIterator(
     const TableIterOptions& iter_options) const {
   Status s;
@@ -376,7 +261,7 @@ std::unique_ptr<Iterator> Table::NewIterator(
     return BlockReader(handle, iter_options.fill_cache, iter_options.level);
   };
   // The index iterator keeps the (possibly cache-resident) block alive.
-  return std::make_unique<TwoLevelIterator>(
+  return NewTwoLevelIterator(
       std::make_unique<OwningIter>(std::move(index), rep_->options.comparator),
       block_fn);
 }

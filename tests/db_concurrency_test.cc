@@ -268,6 +268,10 @@ TEST_F(DbConcurrencyTest, ReadViewsStayConsistentAcrossFlushAndCompaction) {
     return g - (g + kKeys - k) % kKeys;
   };
 
+  // Small files, so the scans cross file boundaries inside a level.
+  db_.reset();
+  options_.target_file_size_base = 8 << 10;
+  ASSERT_TRUE(DB::Open(options_, "/db", &db_).ok());
   for (uint64_t g = 0; g < kKeys; g++) {
     ASSERT_TRUE(db_->Put({}, key_of(g), value_of(g)).ok());
   }
